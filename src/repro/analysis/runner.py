@@ -406,16 +406,22 @@ def run_cell(spec: ExperimentSpec) -> Any:
     return func(spec)
 
 
-def _run_cell_timed(spec: ExperimentSpec) -> Tuple[Any, float]:
+def _run_cell_timed(spec: ExperimentSpec, key: Optional[str]) -> Tuple[Any, float]:
     """Run one cell and measure its wall time in-process (pool map target).
 
     Pool workers execute this instead of bare :func:`run_cell` so per-cell
     elapsed time is measured where the cell actually runs — the parent can't
     observe it (cells overlap across workers).  The compute span is opened
     here for the same reason: the worker process owns the cell's timeline.
+    ``key`` is the cell's store key (``None`` when the parent is not tracing),
+    so the span chains to the parent's ``cell.put`` of the same cell.
     """
     with trace_span(
-        active_tracer(), "cell.compute", cell_kind=spec.kind, benchmark=spec.benchmark
+        active_tracer(),
+        "cell.compute",
+        key,
+        cell_kind=spec.kind,
+        benchmark=spec.benchmark,
     ):
         t0 = time.perf_counter()
         payload = run_cell(spec)
@@ -506,14 +512,16 @@ class ExperimentEngine:
                     missing.append(i)
 
             # Compute the misses (serially or over the pool) and persist them.
+            # Store keys name the compute spans, so only a traced run needs them.
+            keys = [
+                self.store.key(specs[i])
+                if tracer is not None and self.store is not None
+                else None
+                for i in missing
+            ]
             workers = min(self.parallelism, len(missing))
             if workers <= 1:
-                for i in missing:
-                    key = (
-                        self.store.key(specs[i])
-                        if tracer is not None and self.store is not None
-                        else None
-                    )
+                for i, key in zip(missing, keys):
                     with trace_span(
                         tracer,
                         "cell.compute",
@@ -541,7 +549,7 @@ class ExperimentEngine:
                     # so records carry the true in-process compute cost.
                     for i, (payload, elapsed) in zip(
                         missing,
-                        pool.map(_run_cell_timed, [specs[i] for i in missing]),
+                        pool.map(_run_cell_timed, [specs[i] for i in missing], keys),
                     ):
                         payloads[i] = payload
                         self._record(specs[i], payload, i, total, elapsed)

@@ -47,6 +47,7 @@ from repro.runtime.compiled import (  # noqa: F401  (re-exported public API)
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
     code_version,
+    unique_tmp_path,
 )
 
 #: Bump when the record layout changes (distinct from the code version, which
@@ -326,7 +327,7 @@ class ResultStore:
         )
         path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}"
+        tmp = unique_tmp_path(path)
         chaos = self._chaos()
         if chaos is not None and chaos.store_put_fails(key):
             from repro.serve.chaos import ChaosInjectedIOError
@@ -383,7 +384,7 @@ class ResultStore:
             pass
         doc["error"] = error
         doc["failed_at"] = time.time()
-        tmp = path + f".tmp.{os.getpid()}"
+        tmp = unique_tmp_path(path)
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)

@@ -32,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+import secrets
 import struct
 import time
 import zipfile
@@ -91,6 +92,17 @@ def is_workload_benchmark_name(name: str) -> bool:
     so the store can tag entries without importing the workload subsystem.
     """
     return ":" in name
+
+
+def unique_tmp_path(path: str) -> str:
+    """A temp-file name for an atomic write of ``path``, unique per call.
+
+    The pid alone is not enough: two threads of one process writing the same
+    key would share the temp file, one truncating the other's bytes and one
+    ``os.replace`` failing.  The ``.tmp.`` infix is what ``gc`` sweeps.
+    """
+    return f"{path}.tmp.{os.getpid()}.{secrets.token_hex(4)}"
+
 
 #: The array members of a :class:`CompiledGraph`, in serialisation order.
 ARRAY_FIELDS: Tuple[str, ...] = (
@@ -572,7 +584,7 @@ class CompiledGraphStore:
         key = self.key(benchmark, scale, n_nodes)
         path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}"
+        tmp = unique_tmp_path(path)
         with open(tmp, "wb") as fh:
             write_npz_deterministic(fh, {f: getattr(compiled, f) for f in ARRAY_FIELDS})
         os.replace(tmp, path)
@@ -590,7 +602,7 @@ class CompiledGraphStore:
             "n_edges": compiled.n_edges,
             "nbytes": compiled.nbytes,
         }
-        meta_tmp = self.meta_path_for(key) + f".tmp.{os.getpid()}"
+        meta_tmp = unique_tmp_path(self.meta_path_for(key))
         with open(meta_tmp, "w", encoding="utf-8") as fh:
             json.dump(meta, fh)
         os.replace(meta_tmp, self.meta_path_for(key))

@@ -51,7 +51,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set
 
-from repro.analysis.store import ResultStore, lease_ttl_seconds
+from repro.analysis.store import ResultStore, lease_ttl_seconds, unique_tmp_path
 from repro.obs.metrics import inc as metrics_inc
 from repro.serve.chaos import active_chaos
 
@@ -188,7 +188,7 @@ class LeaseStore:
         now = time.time()
         blob = self._document(key, now, renewals=0, acquired_at=now)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}.{secrets.token_hex(2)}"
+        tmp = unique_tmp_path(path)
         try:
             with open(tmp, "wb") as fh:
                 fh.write(blob)
@@ -274,7 +274,7 @@ class LeaseStore:
         blob = self._document(
             key, now, renewals=record.renewals + 1, acquired_at=record.acquired_at
         )
-        tmp = path + f".tmp.{os.getpid()}.{secrets.token_hex(2)}"
+        tmp = unique_tmp_path(path)
         try:
             with open(tmp, "wb") as fh:
                 fh.write(blob)

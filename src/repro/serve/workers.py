@@ -31,7 +31,7 @@ from repro.obs.metrics import observe as metrics_observe
 from repro.obs.metrics import write_snapshot
 from repro.obs.trace import trace_span
 from repro.serve.chaos import ChaosInjectedCellError, WorkerKilled, active_chaos
-from repro.serve.jobs import WORKERS_SUBDIR, JobStore, execute_request
+from repro.serve.jobs import WORKERS_SUBDIR, JobStore, cell_event, execute_request
 from repro.serve.leases import LeaseHeartbeat, LeaseStore, default_owner_id
 from repro.util.retry import RetryPolicy, retry_call
 
@@ -340,19 +340,40 @@ class LeaseDrainEngine(ExperimentEngine):
         elapsed_s: Optional[float] = None,
     ) -> None:
         """Report one finished cell to the event sink, if any."""
-        if self.emit is None:
-            return
-        event = {
-            "type": "cell",
-            "key": key,
-            "kind": spec.kind,
-            "benchmark": spec.benchmark,
-            "cached": cached,
-            "t": time.time(),
-        }
-        if elapsed_s is not None:
-            event["elapsed_s"] = round(elapsed_s, 6)
-        self.emit(event)
+        if self.emit is not None:
+            self.emit(cell_event(key, spec.kind, spec.benchmark, cached, elapsed_s))
+
+
+class WakeSignal:
+    """An in-process doorbell for idle workers: a generation counter.
+
+    :meth:`notify` bumps the generation; :meth:`wait` blocks until the
+    generation differs from the one the caller last saw, or the timeout
+    passes.  Because a worker reads the generation *before* it scans the
+    queue, a notification that lands while it is still draining is not lost:
+    its next :meth:`wait` returns at once and it scans again.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._generation = 0
+
+    @property
+    def generation(self) -> int:
+        """The number of notifications so far."""
+        with self._cond:
+            return self._generation
+
+    def notify(self) -> None:
+        """Wake every waiter (a job was submitted, or shutdown began)."""
+        with self._cond:
+            self._generation += 1
+            self._cond.notify_all()
+
+    def wait(self, seen: int, timeout: float) -> None:
+        """Block until the generation moves past ``seen`` or ``timeout`` passes."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._generation != seen, timeout)
 
 
 class _LivenessWriter(threading.Thread):
@@ -532,12 +553,15 @@ class SweepWorker:
         stop: Optional[threading.Event] = None,
         poll_s: float = 0.5,
         idle_exit: bool = False,
+        wake: Optional[WakeSignal] = None,
     ) -> None:
         """The worker main loop: heartbeats on, drain, sleep, repeat.
 
         ``idle_exit=True`` returns as soon as the queue has no pending jobs
         (used by tests and the CI smoke); otherwise the loop runs until
-        ``stop`` is set.
+        ``stop`` is set.  With a ``wake`` signal the sleep ends early when it
+        is notified (an in-process submission, or shutdown); ``poll_s`` stays
+        the timeout, which is how jobs written by other processes are found.
         """
         stop = stop if stop is not None else threading.Event()
         self.heartbeat.start()
@@ -545,10 +569,14 @@ class SweepWorker:
         self._liveness.start()
         try:
             while not stop.is_set():
+                seen = wake.generation if wake is not None else 0
                 self.run_once(stop=stop)
                 if idle_exit and not self.jobs.pending_jobs():
                     return
-                stop.wait(poll_s)
+                if wake is None:
+                    stop.wait(poll_s)
+                else:
+                    wake.wait(seen, poll_s)
         except WorkerKilled:
             # Simulated kill -9: no cleanup at all.  Leases stay on disk and
             # expire, the liveness file lingers until the gc staleness sweep,
@@ -589,6 +617,11 @@ class WorkerSupervisor:
     in ``crash_looped`` so ``/health`` shows the degradation instead of the
     service silently running under-strength.  A thread that *returns* is
     simply finished (idle-exit), never restarted.
+
+    Every worker sleeps on the supervisor's :class:`WakeSignal` between queue
+    scans: :meth:`notify` (called by the HTTP frontend once a submission is
+    on disk) and :meth:`stop` end that sleep at once, and ``poll_s`` bounds
+    it for jobs that arrive from other processes.
     """
 
     def __init__(
@@ -612,6 +645,7 @@ class WorkerSupervisor:
         self.backoff_max_s = float(backoff_max_s)
         self.restarts = 0
         self._stop = threading.Event()
+        self._wake = WakeSignal()
         self._lock = threading.Lock()
         self._slots: List[Dict[str, Any]] = []
         self._monitor: Optional[threading.Thread] = None
@@ -629,7 +663,7 @@ class WorkerSupervisor:
 
         def _run() -> None:
             try:
-                worker.run_forever(stop=self._stop, poll_s=self.poll_s)
+                worker.run_forever(stop=self._stop, poll_s=self.poll_s, wake=self._wake)
             except BaseException:  # noqa: BLE001 - a dead worker, whatever killed it
                 crashed.set()
 
@@ -660,9 +694,14 @@ class WorkerSupervisor:
         )
         self._monitor.start()
 
+    def notify(self) -> None:
+        """Wake every idle worker to scan the queue now (a job was submitted)."""
+        self._wake.notify()
+
     def stop(self) -> None:
         """Stop the monitor and every worker thread."""
         self._stop.set()
+        self._wake.notify()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.runtime.compiled import (
     compiled_key,
     edge_comm_bytes,
     load_npz_arrays,
+    write_npz_deterministic,
 )
 from repro.simulator.execution import SimulationConfig, simulate_graph
 from repro.simulator.fastpath import SimGraphCache, simulate_compiled
@@ -198,6 +200,45 @@ class TestStoreRoundTrip:
         assert store.load("stream", SCALE) is None
         assert not os.path.exists(store.path_for(key))
         assert not os.path.exists(store.meta_path_for(key))
+
+    def test_two_threads_saving_one_graph_both_succeed(
+        self, graphs, tmp_path, monkeypatch
+    ):
+        """Concurrent saves of one key must not share a temp file.
+
+        A barrier inside the array write holds both threads between opening
+        their temp file and renaming it, the interleaving that made one
+        ``os.replace`` fail when temp names were per-process only.
+        """
+        store = CompiledGraphStore(str(tmp_path))
+        compiled = compile_graph(graphs["cholesky"])
+        barrier = threading.Barrier(2, timeout=10.0)
+
+        def write_in_step(fh, arrays):
+            barrier.wait()
+            write_npz_deterministic(fh, arrays)
+
+        monkeypatch.setattr(
+            "repro.runtime.compiled.write_npz_deterministic", write_in_step
+        )
+        results, errors = [], []
+
+        def save():
+            try:
+                results.append(store.save("cholesky", SCALE, compiled))
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert errors == []
+        assert results == [compiled_key("cholesky", SCALE)] * 2
+        _assert_compiled_equal(compiled, store.load("cholesky", SCALE))
+        shard = os.path.dirname(store.path_for(results[0]))
+        assert not [n for n in os.listdir(shard) if ".tmp." in n]
 
     def test_load_npz_arrays_fallback_matches_mmap(self, graphs, tmp_path):
         store = CompiledGraphStore(str(tmp_path))

@@ -353,19 +353,26 @@ def _read_artifacts(out_dir: str):
     return blobs
 
 
-def test_traced_fig5_run_is_byte_identical_and_fully_covered(tmp_path, monkeypatch, capsys):
-    """REPRO_TRACE=full changes nothing in the goldens, covers every cell."""
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_traced_fig5_run_is_byte_identical_and_fully_covered(
+    tmp_path, monkeypatch, capsys, parallelism
+):
+    """REPRO_TRACE=full changes nothing in the goldens, covers every cell.
+
+    Pinned at both parallelisms: serially the engine opens each compute span
+    itself, on the pool the worker process does, and both must be keyed.
+    """
     plain_out, plain_cache = str(tmp_path / "out_a"), str(tmp_path / "cache_a")
     traced_out, traced_cache = str(tmp_path / "out_b"), str(tmp_path / "cache_b")
 
     assert run_cli("run", "fig5", "--scale", SCALE, "--out", plain_out,
-                   "--cache-dir", plain_cache) == 0
+                   "--cache-dir", plain_cache, "--parallelism", parallelism) == 0
     assert not os.path.exists(trace_path(plain_cache))
 
     monkeypatch.setenv("REPRO_TRACE", "full")
     clear_caches()
     assert run_cli("run", "fig5", "--scale", SCALE, "--out", traced_out,
-                   "--cache-dir", traced_cache) == 0
+                   "--cache-dir", traced_cache, "--parallelism", parallelism) == 0
     stdout = capsys.readouterr().out
     computed = int(re.search(r"\((\d+) computed", stdout).group(1))
     assert computed > 0

@@ -369,7 +369,7 @@ def test_crash_looping_slot_is_abandoned_at_the_cap(tmp_path, monkeypatch):
         def __init__(self, root, ttl_s=None):
             self.owner = "boom"
 
-        def run_forever(self, stop=None, poll_s=0.5):
+        def run_forever(self, stop=None, poll_s=0.5, wake=None):
             raise RuntimeError("dies instantly")
 
     monkeypatch.setattr(workers_mod, "SweepWorker", _Boom)

@@ -11,7 +11,11 @@ Pins the sweep service's coordination invariants:
 * two worker **processes** drain one job's grid exactly once (the computed
   counts sum to the grid size, no key is computed twice);
 * a SIGKILLed lease holder loses its claim after the TTL and the surviving
-  worker recomputes the cell bit-identically.
+  worker recomputes the cell bit-identically;
+* dispatch: a wake that lands mid-scan is kept, a worker with no wake signal
+  still finds jobs by polling, a job with cells to compute is left to the
+  workers, a queue scan opens only pending job documents, and a job
+  reported ``done`` has every cell in its status.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -28,7 +33,7 @@ import pytest
 from repro.analysis.store import ResultStore, lease_ttl_seconds
 from repro.serve.jobs import JobStore
 from repro.serve.leases import LeaseHeartbeat, LeaseStore, default_owner_id
-from repro.serve.workers import SweepWorker
+from repro.serve.workers import SweepWorker, WakeSignal
 
 KEY = "ab" * 32  # a syntactically valid (sharded) store key
 
@@ -351,3 +356,119 @@ def test_killed_holder_is_reclaimed_and_recomputed_bit_identically(tmp_path):
         doc.pop("elapsed_s", None), ref_doc.pop("elapsed_s", None)
         doc.pop("created_at", None), ref_doc.pop("created_at", None)
         assert doc == ref_doc
+
+
+# ---------------------------------------------------------------------------------
+# dispatch: the wake signal, the fallback poll, queue scans, status reads
+# ---------------------------------------------------------------------------------
+
+#: A small sweep job: 2 multipliers x 2 fault rates over one tiny workload.
+SWEEP_REQUEST = {
+    "workloads": ["layered:depth=3,width=2,seed=1"],
+    "multipliers": [10.0, 5.0],
+    "fault_rates": [0.0, 0.01],
+    "scale": 0.2,
+}
+
+
+def test_wake_signal_keeps_a_notify_that_lands_mid_scan():
+    """A submission between reading the generation and waiting is not lost."""
+    wake = WakeSignal()
+    seen = wake.generation  # a worker reads it, then scans the queue ...
+    wake.notify()  # ... while a job is submitted
+    t0 = time.monotonic()
+    wake.wait(seen, timeout=30.0)
+    assert time.monotonic() - t0 < 5.0
+    t0 = time.monotonic()
+    wake.wait(wake.generation, timeout=0.05)  # nothing new: the poll timeout
+    assert time.monotonic() - t0 >= 0.04
+
+
+def test_supervisorless_worker_finds_foreign_jobs_by_polling(tmp_path):
+    """Without a wake signal, the timed poll still picks up a job written
+    straight into ``serve/jobs/`` (what another process's submit does)."""
+    root = str(tmp_path)
+    worker = SweepWorker(root, ttl_s=5.0)
+    stop = threading.Event()
+    thread = threading.Thread(
+        target=worker.run_forever, kwargs={"stop": stop, "poll_s": 0.05}
+    )
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(worker.liveness_path):  # the loop is running
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        jobs = JobStore(root)
+        job = jobs.submit(SWEEP_REQUEST)
+        deadline = time.monotonic() + 60.0
+        while jobs.status(job["id"])["state"] not in ("done", "failed"):
+            assert time.monotonic() < deadline, "the polling worker never drained the job"
+            time.sleep(0.02)
+    finally:
+        stop.set()
+        thread.join(timeout=30.0)
+    status = jobs.status(job["id"])
+    assert status["state"] == "done"
+    assert status["cells"]["computed"] == status["cells"]["total"] == 4
+
+
+def test_finish_cached_leaves_a_job_with_missing_cells_untouched(tmp_path):
+    """Nothing is written for a job with a cell to compute: it is the
+    workers' job, and a half-written journal would skew its status."""
+    jobs = JobStore(str(tmp_path))
+    job = jobs.submit(SWEEP_REQUEST)
+    assert not jobs.finish_cached(job)
+    assert jobs.events(job["id"]) == ([], 0)
+    assert jobs.status(job["id"])["state"] == "pending"
+
+
+def test_pending_jobs_opens_only_pending_documents(tmp_path, monkeypatch):
+    """A scan over 200 finished and 2 pending jobs loads exactly 2 documents."""
+    jobs = JobStore(str(tmp_path))
+    submitted = [jobs.submit({"target": "table1"}) for _ in range(202)]
+    open_ids = [submitted[60]["id"], submitted[140]["id"]]
+    for i, job in enumerate(submitted):
+        if job["id"] in open_ids:
+            continue
+        if i % 2:
+            jobs.mark_done(job["id"], {"owner": "w0"})
+        else:
+            jobs.mark_failed(job["id"], "w0", "boom")
+    loaded = []
+    get = JobStore.get
+
+    def counting_get(self, job_id):
+        loaded.append(job_id)
+        return get(self, job_id)
+
+    monkeypatch.setattr(JobStore, "get", counting_get)
+    assert [job["id"] for job in jobs.pending_jobs()] == open_ids  # oldest first
+    assert sorted(loaded) == sorted(open_ids)
+
+
+def test_status_reads_markers_before_the_journal(tmp_path, monkeypatch):
+    """A job finishing between status's two reads never shows ``done`` with
+    a cell missing: the last cell event and the done marker are made to land
+    right after the journal read."""
+    jobs = JobStore(str(tmp_path))
+    job_id = jobs.submit({"target": "table1"})["id"]
+    keys = ["a" * 64, "b" * 64]
+    jobs.append_plan_event(job_id, keys, "w0")
+    jobs.append_event(job_id, {"type": "cell", "key": keys[0], "owner": "w0"})
+    read_journal = jobs.events
+
+    def journal_then_finish(job_id, offset=0):
+        events = read_journal(job_id, offset)
+        if not os.path.exists(jobs.done_path(job_id)):
+            jobs.append_event(job_id, {"type": "cell", "key": keys[1], "owner": "w0"})
+            jobs.mark_done(job_id, {"owner": "w0"})
+        return events
+
+    monkeypatch.setattr(jobs, "events", journal_then_finish)
+    racing = jobs.status(job_id)
+    assert racing["state"] == "running"
+    assert racing["cells"]["done"] == 1
+    final = jobs.status(job_id)
+    assert final["state"] == "done"
+    assert final["cells"]["done"] == final["cells"]["total"] == 2
