@@ -3,9 +3,9 @@
 A deliberately small stdlib server (``http.server.ThreadingHTTPServer`` —
 the repo adds no dependencies) over the job queue in
 :mod:`repro.serve.jobs`.  The server itself never computes cells: submission
-writes a job document (and finishes it on the spot when every cell is
-already stored), progress is derived from the shared store and the events
-journal, and artifacts are composed read-only from the warm cache.
+writes a job document (and wakes the embedded workers), progress is derived
+from the shared store and the events journal, and artifacts are composed
+read-only from the warm cache.
 All computation happens in workers — embedded threads
 (``ReproServer(workers=N)``), separate ``repro serve --worker`` processes,
 or both — coordinating purely through the shared cache root.
@@ -179,7 +179,7 @@ class _Handler(BaseHTTPRequestHandler):
             except JobValidationError as exc:
                 self._error(400, str(exc))
                 return
-            self.server.dispatch(job)
+            self.server.wake_workers()
             self._json(202, {"job": job, "status_url": f"/api/v1/jobs/{job['id']}"})
             return
         self._error(404, f"no such route: POST {self.path}")
@@ -323,7 +323,7 @@ class ReproServer:
         self.httpd.chaos = active_chaos(self.store.root)  # type: ignore[attr-defined]
         self.httpd.tracer = active_tracer(self.store.root)  # type: ignore[attr-defined]
         self.httpd.metrics_text = self.metrics_text  # type: ignore[attr-defined]
-        self.httpd.dispatch = self.dispatch  # type: ignore[attr-defined]
+        self.httpd.wake_workers = self.wake_workers  # type: ignore[attr-defined]
         self.started_at = time.time()
         self._thread: Optional[threading.Thread] = None
         self.supervisor: Optional[WorkerSupervisor] = (
@@ -341,19 +341,8 @@ class ReproServer:
         """The embedded workers currently installed (restarts replace them)."""
         return self.supervisor.workers if self.supervisor is not None else []
 
-    def dispatch(self, job: Dict[str, Any]) -> None:
-        """Start a just-published job: finish it here if every cell is stored,
-        else wake the embedded workers to scan the queue now.
-
-        A fully cached job (a warm resubmission) needs no worker, so it never
-        queues behind another job's cells.  If finishing it fails on I/O,
-        the job is still published and the workers drain it as usual.
-        """
-        try:
-            if self.jobs.finish_cached(job):
-                return
-        except OSError:
-            pass
+    def wake_workers(self) -> None:
+        """Have the embedded workers scan the queue now (a job was published)."""
         if self.supervisor is not None:
             self.supervisor.notify()
 

@@ -49,10 +49,6 @@ JOBS_SUBDIR = os.path.join("serve", "jobs")
 #: Worker liveness files live here (see :mod:`repro.serve.workers`).
 WORKERS_SUBDIR = os.path.join("serve", "workers")
 
-#: The owner recorded on the events of jobs finished at submission
-#: (:meth:`JobStore.finish_cached`), where no worker drains them.
-FRONTEND_OWNER = "frontend"
-
 #: Policies accepted by grid requests (mirrors ``experiments.SWEEP_POLICIES``
 #: lazily — importing the driver module here would defeat the lazy CLI).
 _MAX_EVENT_KEYS_PER_LINE = 100
@@ -74,11 +70,6 @@ class _ComposeStore(ResultStore):
     :class:`JobIncompleteError` (the HTTP layer maps it to 409).
     """
 
-    def __init__(self, root: Optional[str] = None) -> None:
-        super().__init__(root)
-        #: Every record served so far, by key, in the order first served.
-        self.served: Dict[str, StoreRecord] = {}
-
     def get(self, spec: ExperimentSpec) -> Optional[StoreRecord]:
         """Like the parent, but a miss raises :class:`JobIncompleteError`."""
         record = super().get(spec)
@@ -86,7 +77,6 @@ class _ComposeStore(ResultStore):
             raise JobIncompleteError(
                 f"cell not yet computed: kind={spec.kind} benchmark={spec.benchmark}"
             )
-        self.served.setdefault(record.key, record)
         return record
 
     def put(self, spec, payload, elapsed_s=None):  # pragma: no cover - guarded by get
@@ -328,44 +318,6 @@ def compose_artifacts(
 # ---------------------------------------------------------------------------------
 
 
-def cell_event(
-    key: str,
-    kind: Optional[str],
-    benchmark: Optional[str],
-    cached: bool,
-    elapsed_s: Optional[float] = None,
-) -> Dict[str, Any]:
-    """One ``cell`` journal event: a finished cell, computed or cache hit.
-
-    ``elapsed_s`` is the cell's compute cost (for a cache hit, the cost the
-    store record carries), so status can total a grid's compute seconds.
-    """
-    event: Dict[str, Any] = {
-        "type": "cell",
-        "key": key,
-        "kind": kind,
-        "benchmark": benchmark,
-        "cached": cached,
-        "t": time.time(),
-    }
-    if elapsed_s is not None:
-        event["elapsed_s"] = round(elapsed_s, 6)
-    return event
-
-
-def _plan_events(keys: List[str], owner: str) -> List[Dict[str, Any]]:
-    """The ``plan`` events announcing one engine grid, its keys chunked."""
-    return [
-        {
-            "type": "plan",
-            "keys": keys[i : i + _MAX_EVENT_KEYS_PER_LINE],
-            "total": len(keys),
-            "owner": owner,
-        }
-        for i in range(0, len(keys), _MAX_EVENT_KEYS_PER_LINE)
-    ]
-
-
 def _job_ids(names: List[str], suffix: str) -> Set[str]:
     """The job ids among directory entries ending in ``suffix``."""
     return {name[: -len(suffix)] for name in names if name.endswith(suffix)}
@@ -460,75 +412,22 @@ class JobStore:
         finished = _job_ids(names, ".done.json") | _job_ids(names, ".failed.json")
         return self._load(_job_ids(names, ".job.json") - finished)
 
-    def finish_cached(self, job: Dict[str, Any]) -> bool:
-        """Finish a job at once if every cell it needs is already stored.
-
-        Such a job has nothing to compute, so it needs no worker: the plan,
-        one cached-cell event per cell and the done marker are written here,
-        as a drain that met only cache hits would write them.  Returns
-        ``False``, having written nothing, when any cell is missing.
-        """
-        request = job["request"]
-        store = _ComposeStore(self.root)
-        engine = ExperimentEngine(parallelism=1, fast=request["fast"], store=store)
-        try:
-            execute_request(request, engine)
-        except JobIncompleteError:
-            return False
-        job_id = job["id"]
-        events = _plan_events(list(store.served), FRONTEND_OWNER)
-        for key, record in store.served.items():
-            event = cell_event(
-                key,
-                record.spec.get("kind"),
-                record.spec.get("benchmark"),
-                cached=True,
-                elapsed_s=record.elapsed_s,
-            )
-            events.append({**event, "owner": FRONTEND_OWNER})
-        self.append_events(job_id, events)
-        self.mark_done(
-            job_id,
-            {
-                "owner": FRONTEND_OWNER,
-                "cells_total": len(store.served),
-                "cells_computed": 0,
-                "cells_cached": len(store.served),
-                "cells_duplicated": 0,
-                "cells_retried": 0,
-            },
-        )
-        return True
-
     # -- events ----------------------------------------------------------------
 
     def append_event(self, job_id: str, event: Dict[str, Any]) -> None:
-        """Append one progress event (one JSON line)."""
-        self.append_events(job_id, [event])
+        """Append one progress event (one JSON line).
 
-    def append_events(self, job_id: str, events: List[Dict[str, Any]]) -> None:
-        """Append progress events, one JSON line each, through one open file.
-
-        Every line is its own ``write`` and is kept far under the POSIX
-        atomic-append pipe-buffer bound (plan events chunk their key lists),
-        so concurrent workers appending to the same journal never interleave
-        bytes.  The append is retried with a short backoff: losing a
-        progress event to a transient fd-exhaustion blip would silently skew
-        the status accounting.
+        Lines are kept far under the POSIX atomic-append pipe-buffer bound
+        (plan events chunk their key lists), so concurrent workers appending
+        to the same journal never interleave bytes.  The append is retried
+        with a short backoff: losing a progress event to a transient
+        fd-exhaustion blip would silently skew the status accounting.
         """
-        lines = [(json.dumps(e, sort_keys=True) + "\n").encode("utf-8") for e in events]
-        if not lines:
-            return
+        line = json.dumps(event, sort_keys=True)
 
         def _append() -> None:
-            fd = os.open(
-                self.events_path(job_id), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-            )
-            try:
-                for line in lines:
-                    os.write(fd, line)
-            finally:
-                os.close(fd)
+            with open(self.events_path(job_id), "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
 
         retry_call(
             _append,
@@ -539,7 +438,12 @@ class JobStore:
 
     def append_plan_event(self, job_id: str, keys: List[str], owner: str) -> None:
         """Announce one engine grid: total cell count plus (chunked) keys."""
-        self.append_events(job_id, _plan_events(keys, owner))
+        for i in range(0, len(keys), _MAX_EVENT_KEYS_PER_LINE):
+            chunk = keys[i : i + _MAX_EVENT_KEYS_PER_LINE]
+            self.append_event(
+                job_id,
+                {"type": "plan", "keys": chunk, "total": len(keys), "owner": owner},
+            )
 
     def events(
         self, job_id: str, offset: int = 0

@@ -31,7 +31,7 @@ from repro.obs.metrics import observe as metrics_observe
 from repro.obs.metrics import write_snapshot
 from repro.obs.trace import trace_span
 from repro.serve.chaos import ChaosInjectedCellError, WorkerKilled, active_chaos
-from repro.serve.jobs import WORKERS_SUBDIR, JobStore, cell_event, execute_request
+from repro.serve.jobs import WORKERS_SUBDIR, JobStore, execute_request
 from repro.serve.leases import LeaseHeartbeat, LeaseStore, default_owner_id
 from repro.util.retry import RetryPolicy, retry_call
 
@@ -340,8 +340,19 @@ class LeaseDrainEngine(ExperimentEngine):
         elapsed_s: Optional[float] = None,
     ) -> None:
         """Report one finished cell to the event sink, if any."""
-        if self.emit is not None:
-            self.emit(cell_event(key, spec.kind, spec.benchmark, cached, elapsed_s))
+        if self.emit is None:
+            return
+        event = {
+            "type": "cell",
+            "key": key,
+            "kind": spec.kind,
+            "benchmark": spec.benchmark,
+            "cached": cached,
+            "t": time.time(),
+        }
+        if elapsed_s is not None:
+            event["elapsed_s"] = round(elapsed_s, 6)
+        self.emit(event)
 
 
 class WakeSignal:

@@ -10,8 +10,7 @@ worker threads) backed by a per-test cache root.  Pins:
 * the error contract: 400 invalid submissions, 404 unknown jobs/routes,
   409 artifact requests before the job's cells exist;
 * the events journal is incrementally consumable via ``?offset=``;
-* a submission wakes idle embedded workers, and so does shutdown;
-* a fully cached submission is finished by the frontend, with no worker.
+* a submission wakes idle embedded workers, and so does shutdown.
 """
 
 from __future__ import annotations
@@ -161,32 +160,6 @@ def test_submission_wakes_idle_workers_and_stop_is_prompt(tmp_path):
     assert second_s < 10.0
     # Without the wake, joining each sleeping worker would time out at 5 s.
     assert stop_s < 4.0
-
-
-def test_fully_cached_job_finishes_at_submission(tmp_path):
-    """A resubmission whose every cell is stored needs no worker: the
-    frontend finishes it before answering the POST."""
-    root = str(tmp_path)
-    srv = ReproServer(root=root, host="127.0.0.1", port=0, workers=2, ttl_s=5.0).start()
-    try:
-        cold_job, _ = _submit_and_wait(srv, SWEEP_REQUEST)
-        cold = _artifacts(srv, cold_job["id"])
-    finally:
-        srv.stop()
-    frontend = ReproServer(root=root, host="127.0.0.1", port=0, workers=0).start()
-    try:
-        code, submitted = _post(f"{frontend.url}/api/v1/jobs", SWEEP_REQUEST)
-        assert code == 202
-        job_id = submitted["job"]["id"]
-        code, status = _get(f"{frontend.url}/api/v1/jobs/{job_id}")
-        warm = _artifacts(frontend, job_id)
-    finally:
-        frontend.stop()
-    assert status["state"] == "done"  # the first read, no polling
-    cells = status["cells"]
-    assert (cells["total"], cells["done"], cells["computed"], cells["cached"]) == (4, 4, 0, 4)
-    assert set(status["workers"]) == {"frontend"}
-    assert warm == cold
 
 
 def test_target_job_roundtrip(server):

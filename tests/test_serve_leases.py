@@ -12,10 +12,10 @@ Pins the sweep service's coordination invariants:
   counts sum to the grid size, no key is computed twice);
 * a SIGKILLed lease holder loses its claim after the TTL and the surviving
   worker recomputes the cell bit-identically;
-* dispatch: a wake that lands mid-scan is kept, a worker with no wake signal
-  still finds jobs by polling, a job with cells to compute is left to the
-  workers, a queue scan opens only pending job documents, and a job
-  reported ``done`` has every cell in its status.
+* dispatch: a wake that lands mid-scan is kept (also under thread churn), a
+  worker with no wake signal still finds jobs by polling, a queue scan opens
+  only pending job documents, and a job reported ``done`` has every cell in
+  its status.
 """
 
 from __future__ import annotations
@@ -384,6 +384,38 @@ def test_wake_signal_keeps_a_notify_that_lands_mid_scan():
     assert time.monotonic() - t0 >= 0.04
 
 
+def test_wake_signal_loses_no_notify_under_thread_churn():
+    """Four waiters (more than the cores) loop like a worker: read the
+    generation, scan, wait.  Notifications keep landing mid-scan; a lost one
+    would leave a waiter sleeping out its 30 s timeout after the last."""
+    wake = WakeSignal()
+    rounds = 200
+
+    def waiter():
+        while True:
+            seen = wake.generation
+            if seen >= rounds:
+                return
+            time.sleep(0.0005)  # the queue scan
+            wake.wait(seen, timeout=30.0)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=waiter) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for _ in range(rounds):
+            wake.notify()
+            time.sleep(0.0002)
+        deadline = time.monotonic() + 10.0
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 def test_supervisorless_worker_finds_foreign_jobs_by_polling(tmp_path):
     """Without a wake signal, the timed poll still picks up a job written
     straight into ``serve/jobs/`` (what another process's submit does)."""
@@ -411,16 +443,6 @@ def test_supervisorless_worker_finds_foreign_jobs_by_polling(tmp_path):
     status = jobs.status(job["id"])
     assert status["state"] == "done"
     assert status["cells"]["computed"] == status["cells"]["total"] == 4
-
-
-def test_finish_cached_leaves_a_job_with_missing_cells_untouched(tmp_path):
-    """Nothing is written for a job with a cell to compute: it is the
-    workers' job, and a half-written journal would skew its status."""
-    jobs = JobStore(str(tmp_path))
-    job = jobs.submit(SWEEP_REQUEST)
-    assert not jobs.finish_cached(job)
-    assert jobs.events(job["id"]) == ([], 0)
-    assert jobs.status(job["id"])["state"] == "pending"
 
 
 def test_pending_jobs_opens_only_pending_documents(tmp_path, monkeypatch):
