@@ -42,9 +42,6 @@ setup(
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
-        # Optional JIT backend for the batched simulator loop
-        # (REPRO_SIM_BACKEND=numba); auto-detected when installed.
-        "numba": ["numba"],
     },
     entry_points={
         "console_scripts": [

@@ -15,15 +15,15 @@ machine model with
 
 Two interchangeable executions of the same model exist:
 :func:`~repro.simulator.execution.simulate_graph` is the scalar reference
-loop, and :func:`~repro.simulator.fastpath.simulate_graph_fast` is the
-vectorized fast path (precomputed per-graph arrays, chunked fault draws) that
-produces bit-identical results; :func:`~repro.simulator.fastpath.simulate`
-dispatches between them.
+loop, and :func:`~repro.simulator.fastpath.simulate_graph_fast` is the fast
+path (per-graph replay terms, chunked fault draws) that produces
+bit-identical results; :func:`~repro.simulator.fastpath.simulate` dispatches
+between them.
 
-The fast path's event loop itself has interchangeable *backends* (pure
-Python, an optional numba JIT, a self-compiled C kernel — see
-:mod:`repro.simulator.backend`), all bit-identical, selected via
-``$REPRO_SIM_BACKEND``; and
+The fast path runs on one of two bit-identical *backends*, selected via
+``$REPRO_SIM_BACKEND`` (see :mod:`repro.simulator.backend`): a self-compiled
+C kernel, or the one Python event loop, which computes its replay terms a
+task chunk at a time and so also runs out of core.
 :func:`~repro.simulator.fastpath.simulate_compiled_batch` replays a whole
 batch of fault seeds over shared replay arrays in one kernel invocation.
 """

@@ -1,10 +1,9 @@
 /* Event-loop replay kernel of the compiled-graph simulator.
  *
- * This is the C twin of the pure-Python loops in repro/simulator/fastpath.py
- * (and of the numba twin in repro/simulator/_kernel_py.py): one general
- * multi-node event loop that also covers the single-node case.  Every float
- * operation, comparison and event-ordering rule matches the Python reference
- * exactly:
+ * This is the C twin of the pure-Python loop in repro/simulator/fastpath.py:
+ * one general multi-node event loop that also covers the single-node case.
+ * Every float operation, comparison and event-ordering rule matches the
+ * Python reference exactly:
  *
  *  - events are ordered by (time, sequence number) — a total order, so any
  *    binary-heap layout pops the identical event sequence;

@@ -1,46 +1,34 @@
-"""Simulator loop backends: pure Python, optional numba JIT, self-built C kernel.
+"""Simulator loop backends: the pure-Python loop or a self-built C kernel.
 
-The compiled-graph replay loop in :mod:`repro.simulator.fastpath` is pure
-Python and stays the *reference* — every other backend must be bit-identical
-to it, which the equivalence suite asserts.  This module provides the faster
-executions of the same loop:
+Both execute the same event loop, bit-identically; the reference they must
+match is :func:`repro.simulator.execution.simulate_graph`, which the
+equivalence suite asserts.
 
 ``python``
-    The fastpath's own scalar loops.  Always available; the fallback.
+    The fastpath's own event loop over chunked replay terms.  Always
+    available; the fallback.
 ``cext``
     ``_simkernel.c`` compiled on first use with the system C compiler
     (``-O2 -ffp-contract=off``, no Python headers needed) and driven through
     :mod:`ctypes`.  The shared object is cached under
     ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/kernels``) keyed by the
     source hash, so later runs only ``dlopen`` it.
-``numba``
-    The nopython twin in :mod:`repro.simulator._kernel_py`, JIT-compiled when
-    numba is installed.  numba stays an optional dependency (``pip install
-    repro-appfit[numba]``); when it is absent this backend reports
-    unavailable and selection falls through.
-``pykernel``
-    The numba twin executed as plain Python.  Far slower than the fastpath —
-    it exists so the twin's semantics are pinned by tests even on machines
-    without numba.  Never chosen automatically.
 
-Selection: ``REPRO_SIM_BACKEND`` picks one of ``auto|python|numba|cext``
-(``pykernel`` is accepted for debugging).  ``auto`` — the default — prefers
-``cext`` and then ``numba``: importing numba costs over a second of startup,
-which would dwarf the loop savings in short CLI runs, while the cached C
-kernel loads in microseconds.  Forcing an unavailable backend raises with the
-recorded reason.
+Selection: ``REPRO_SIM_BACKEND`` picks one of ``auto|python|cext``; any other
+name raises :class:`ValueError`.  ``auto`` — the default — runs ``cext`` when
+it builds and loads, else ``python``.  Forcing ``cext`` where it is
+unavailable raises :class:`BackendUnavailable` with the recorded reason.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import importlib.util
 import os
 import shutil
 import subprocess
 import tempfile
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +43,7 @@ CC_ENV = "REPRO_CC"
 
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_simkernel.c")
 
-#: Return codes of the kernels (matching ``_simkernel.c``).
+#: Return codes of the kernel (matching ``_simkernel.c``).
 _ERRORS = {
     1: "kernel workspace allocation failed",
     2: "event heap overflow (kernel bug)",
@@ -67,37 +55,19 @@ class BackendUnavailable(RuntimeError):
     """Raised when a requested backend cannot run on this machine."""
 
 
-#: Positional metadata passed to every kernel ahead of the arrays:
+#: Positional metadata passed to the kernel ahead of the arrays:
 #: (n, n_nodes, cores_per_node, spares_per_node, net_latency, net_bandwidth,
 #:  contention, collect, p_crash, p_sdc, decision_s).
 Meta = Tuple[int, int, int, int, float, float, int, int, float, float, float]
 
 
-class KernelBackend:
-    """A compiled execution of the replay loop.
+class PythonBackend:
+    """Marker backend: the fastpath's own event loop runs the replay."""
 
-    ``run_batch`` replays ``n_lanes`` seed lanes: ``uniforms`` holds one
-    pre-drawn row per lane, outputs are written at lane offsets.  Returns the
-    kernel status code (0 = OK).
-    """
-
-    name: str = "python"
-
-    def run_batch(
-        self,
-        n_lanes: int,
-        meta: Meta,
-        arrays: Tuple[np.ndarray, ...],
-        uniforms: np.ndarray,
-        n_uniforms: int,
-        out_scalars: np.ndarray,
-        out_counts: np.ndarray,
-        record_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> int:
-        raise NotImplementedError
+    name = "python"
 
 
-class CExtBackend(KernelBackend):
+class CExtBackend:
     """ctypes driver over the self-compiled ``_simkernel.c`` shared object."""
 
     name = "cext"
@@ -120,7 +90,22 @@ class CExtBackend(KernelBackend):
         )
         self._fn = fn
 
-    def run_batch(self, n_lanes, meta, arrays, uniforms, n_uniforms, out_scalars, out_counts, record_arrays):
+    def run_batch(
+        self,
+        n_lanes: int,
+        meta: Meta,
+        arrays: Tuple[np.ndarray, ...],
+        uniforms: np.ndarray,
+        n_uniforms: int,
+        out_scalars: np.ndarray,
+        out_counts: np.ndarray,
+        record_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ) -> int:
+        """Replay ``n_lanes`` seed lanes in one kernel call; the status code (0 = OK).
+
+        ``uniforms`` holds one pre-drawn row per lane; outputs are written at
+        lane offsets.
+        """
         (n, n_nodes, cores, spares, net_lat, net_bw, contention, collect, p_crash, p_sdc, decision_s) = meta
         def p(a: np.ndarray):
             return a.ctypes.data_as(ctypes.c_void_p)
@@ -134,58 +119,7 @@ class CExtBackend(KernelBackend):
         )
 
 
-class _PyKernelBackend(KernelBackend):
-    """The numba twin, lane-looped — plain Python (``pykernel``) by default."""
-
-    name = "pykernel"
-
-    def __init__(self) -> None:
-        from repro.simulator._kernel_py import kernel
-
-        self._kernel = kernel
-
-    def run_batch(self, n_lanes, meta, arrays, uniforms, n_uniforms, out_scalars, out_counts, record_arrays):
-        (n, n_nodes, cores, spares, net_lat, net_bw, contention, collect, p_crash, p_sdc, decision_s) = meta
-        start_at, finish_at, overhead_at, recovery_at = record_arrays
-        for lane in range(n_lanes):
-            rec = lane if collect else 0
-            rc = self._kernel(
-                n, n_nodes, cores, spares, net_lat, net_bw,
-                contention, collect, p_crash, p_sdc, decision_s,
-                *arrays,
-                uniforms[lane], n_uniforms,
-                out_scalars[lane], out_counts[lane],
-                start_at[rec], finish_at[rec], overhead_at[rec], recovery_at[rec],
-            )
-            if rc != 0:
-                return rc
-        return 0
-
-
-class NumbaBackend(_PyKernelBackend):
-    """The numba-JITed twin (optional dependency)."""
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        if importlib.util.find_spec("numba") is None:
-            raise BackendUnavailable("numba is not installed (pip install repro-appfit[numba])")
-        import numba
-
-        from repro.simulator._kernel_py import kernel
-
-        # cache=True persists the machine code next to _kernel_py.py so the
-        # JIT cost is paid once per interpreter/ABI, not once per process.
-        self._kernel = numba.njit(cache=True, fastmath=False)(kernel)
-
-
-class PythonBackend(KernelBackend):
-    """Marker backend: the fastpath's scalar loops handle execution."""
-
-    name = "python"
-
-    def run_batch(self, *args, **kwargs):  # pragma: no cover - never called
-        raise RuntimeError("the python backend has no kernel; fastpath runs the scalar loops")
+Backend = Union[PythonBackend, CExtBackend]
 
 
 # -- C kernel build ---------------------------------------------------------
@@ -271,22 +205,13 @@ def _load_kernel_lib() -> ctypes.CDLL:
 
 # -- selection --------------------------------------------------------------
 
-_FACTORIES: Dict[str, Callable[[], KernelBackend]] = {
-    "python": PythonBackend,
-    "cext": CExtBackend,
-    "numba": NumbaBackend,
-    "pykernel": _PyKernelBackend,
-}
+_FACTORIES = {"python": PythonBackend, "cext": CExtBackend}
 
-#: Backends tried by ``auto``, in order.  cext first: a cached .so loads in
-#: microseconds while importing numba costs >1s of startup per process.
-_AUTO_ORDER = ("cext", "numba")
-
-_instances: Dict[str, KernelBackend] = {}
+_instances: Dict[str, Backend] = {}
 _failures: Dict[str, str] = {}
 
 
-def _get_backend(name: str) -> KernelBackend:
+def _get_backend(name: str) -> Backend:
     inst = _instances.get(name)
     if inst is not None:
         return inst
@@ -294,7 +219,9 @@ def _get_backend(name: str) -> KernelBackend:
         raise BackendUnavailable(_failures[name])
     factory = _FACTORIES.get(name)
     if factory is None:
-        raise ValueError(f"unknown simulator backend {name!r} (expected auto|{'|'.join(_FACTORIES)})")
+        raise ValueError(
+            f"unknown simulator backend {name!r}: {BACKEND_ENV} must be one of auto|python|cext"
+        )
     try:
         inst = factory()
     except BackendUnavailable as exc:
@@ -304,35 +231,21 @@ def _get_backend(name: str) -> KernelBackend:
     return inst
 
 
-def resolve_backend(name: Optional[str] = None) -> KernelBackend:
+def resolve_backend(name: Optional[str] = None) -> Backend:
     """The backend to use: explicit ``name``, else ``$REPRO_SIM_BACKEND``, else auto.
 
-    ``auto`` falls back to the pure-Python loops when no compiled backend is
-    available; a *named* backend that is unavailable raises
+    ``auto`` runs ``cext`` when it is available and the pure-Python loop
+    otherwise; a *named* ``cext`` that is unavailable raises
     :class:`BackendUnavailable` with the reason.
     """
     name = name or os.environ.get(BACKEND_ENV) or "auto"
     name = name.strip().lower()
     if name == "auto":
-        for cand in _AUTO_ORDER:
-            try:
-                return _get_backend(cand)
-            except BackendUnavailable:
-                continue
-        return _get_backend("python")
-    return _get_backend(name)
-
-
-def backend_status() -> Dict[str, str]:
-    """Availability of every backend, for diagnostics (``repro targets``-style)."""
-    status: Dict[str, str] = {}
-    for name in _FACTORIES:
         try:
-            _get_backend(name)
-            status[name] = "available"
-        except BackendUnavailable as exc:
-            status[name] = f"unavailable: {exc}"
-    return status
+            return _get_backend("cext")
+        except BackendUnavailable:
+            return _get_backend("python")
+    return _get_backend(name)
 
 
 def reset_backends() -> None:

@@ -1,4 +1,4 @@
-"""Vectorized fast path of the machine simulator, over compiled graphs.
+"""Fast path of the machine simulator, over compiled graphs.
 
 :func:`repro.simulator.execution.simulate_graph` is the reference
 implementation: a readable event loop that re-derives every per-task quantity
@@ -11,18 +11,20 @@ fault rate and machine size — so this module splits the work:
   from the on-disk compiled-graph store) holds everything that depends only on
   the graph: durations, byte counts, CSR successor/predecessor indices and
   per-edge communication payloads;
-* :class:`SimGraphCache` wraps a compiled graph and memoises the
-  machine/cost-model-dependent *replay arrays* — the per-task core-occupancy,
-  completion, overhead and recovery terms, folded into flat lists with one
-  NumPy pass per (cost model, bandwidth) combination;
-* :func:`simulate_compiled` replays those arrays through a flat ``heapq``
-  event loop over primitive floats and ints (with a specialised loop for
-  single-node machines, the Figure 4/5 shape), drawing fault Bernoullis from
-  a chunk-buffered NumPy stream that consumes the *same* underlying uniform
+* :class:`SimGraphCache` wraps a compiled graph and derives the
+  machine/cost-model-dependent *replay terms* — the per-task core-occupancy,
+  completion, overhead and recovery terms, folded with one NumPy pass over any
+  task range (memoised over the whole graph for the C kernel);
+* :func:`simulate_compiled` replays a graph either through the C kernel of
+  :mod:`repro.simulator.backend` or through this module's one Python event
+  loop, a flat ``heapq`` loop over primitive floats and ints that computes the
+  replay terms one task chunk at a time (``$REPRO_SIM_CHUNK_TASKS``), so it
+  runs out of core on memory-mapped graphs.  Fault Bernoullis come from a
+  chunk-buffered NumPy stream that consumes the *same* underlying uniform
   sequence as the reference path's per-call draws.
 
 Every arithmetic expression mirrors the reference loop operation for
-operation (the replay arrays are built with the same association order the
+operation (the replay terms are built with the same association order the
 scalar code uses), and events are pushed in the same order with the same FIFO
 tie-breaking, so the fast path is bit-identical to the reference — which the
 equivalence test suite asserts.  Use ``fast=False`` (or the benchmark
@@ -33,9 +35,9 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,105 +68,37 @@ _READY, _FREE, _SPARE_FREE, _COMPLETE = 0, 1, 2, 3
 #: golden artifacts pin the resulting draw sequence.)
 _DRAW_CHUNK = 4096
 
-#: Environment knob selecting the streaming chunk size of the pure-Python
-#: replay: graphs larger than this many tasks walk the event loop against
-#: chunked replay-term slices instead of materialising all ten O(n) term
-#: arrays (and their Python-list views) up front.  ``0`` disables streaming.
+#: Environment knob setting the task-chunk size of the Python replay: the
+#: replay terms are computed (and held) one chunk of this many tasks at a
+#: time.  ``<= 0`` makes the whole graph one chunk.  Results never depend on it.
 SIM_CHUNK_ENV = "REPRO_SIM_CHUNK_TASKS"
 
-#: Default streaming chunk: small enough that a handful of resident chunks
-#: stay in the tens of megabytes, large enough that the frontier of any
-#: reasonable graph rarely straddles more than two or three chunks.
+#: Default chunk: small enough that the resident chunks stay in the tens of
+#: megabytes, large enough that the frontier of any reasonable graph rarely
+#: straddles more than two or three chunks.
 DEFAULT_SIM_CHUNK_TASKS = 65536
 
+#: Resident chunk budget of the Python replay.  The event-loop frontier visits
+#: tasks roughly in topological (= dense-index) order, so a handful of chunks
+#: absorbs the straddle between the started window and its predecessors.
+_RESIDENT_CHUNKS = 4
 
-def sim_chunk_tasks() -> int:
-    """The streaming chunk size (``$REPRO_SIM_CHUNK_TASKS``; ``<= 0`` disables)."""
+
+def sim_chunk_tasks(n_tasks: int) -> int:
+    """The replay chunk size for an ``n_tasks`` graph (``$REPRO_SIM_CHUNK_TASKS``).
+
+    ``<= 0`` means the whole graph is one chunk.
+    """
     raw = os.environ.get(SIM_CHUNK_ENV, "").strip()
     if not raw:
         return DEFAULT_SIM_CHUNK_TASKS
     try:
-        return int(raw)
+        chunk = int(raw)
     except ValueError:
         raise ValueError(
             f"{SIM_CHUNK_ENV}={raw!r} is not an integer task count"
         ) from None
-
-
-@dataclass
-class _ReplayArrays:
-    """Per-task cost terms of one (cost model, machine bandwidth) combination.
-
-    Each list is indexed by dense task index and holds exactly the floats the
-    reference loop would compute for that task, pre-folded with the reference
-    association order so the event loop only selects and accumulates.
-    """
-
-    dur: List[float]  #: effective duration (roofline-bounded if contended)
-    mem: List[float]  #: memory traffic charged to the node
-    core_busy0: List[float]  #: unreplicated, fault-free core occupancy
-    rep_core_busy: List[float]  #: replicated core occupancy (spare available)
-    completion_spare: List[float]  #: replicated completion (spare available)
-    core_busy_nospare: List[float]  #: replicated core occupancy (no spare)
-    completion_nospare: List[float]  #: replicated completion (no spare)
-    overhead_rep: List[float]  #: replicated fault-free overhead
-    restore_dur: List[float]  #: crash+crash recovery (restore + re-execute)
-    restore_dur_vote: List[float]  #: sdc-mismatch recovery (restore + re-execute + vote)
-
-
-def _replay_terms(
-    durations: np.ndarray,
-    mem_bytes: np.ndarray,
-    input_bytes: np.ndarray,
-    output_bytes: np.ndarray,
-    machine: MachineSpec,
-    costs: ReplicationCostModel,
-    contention: bool,
-) -> Tuple[np.ndarray, ...]:
-    """The ten per-task replay-term arrays of one (costs, bandwidth) key.
-
-    Every expression reproduces the reference loop's scalar arithmetic with
-    the same association order, element-wise — which is what keeps the replay
-    bit-identical while moving ~15 float operations per task out of the event
-    loop.  All operations are element-wise, so calling this on aligned array
-    *slices* yields exactly the corresponding slice of the full-graph result —
-    the invariant the streaming replay's chunked view relies on.
-
-    The tuple order matches the ``_ReplayArrays`` fields and the kernel
-    argument order: dur, mem, core_busy0, rep_core_busy, completion_spare,
-    core_busy_nospare, completion_nospare, overhead_rep, restore_dur,
-    restore_dur_vote.
-    """
-    checkpoint = costs.checkpoint_latency_s + input_bytes / costs.checkpoint_bandwidth_Bps
-    restore = costs.restore_latency_s + input_bytes / costs.checkpoint_bandwidth_Bps
-    compare = costs.compare_latency_s + output_bytes / costs.compare_bandwidth_Bps
-    vote = costs.compare_latency_s + output_bytes / costs.vote_bandwidth_Bps
-    if contention:
-        dur = np.maximum(durations, mem_bytes / machine.memory_bandwidth_Bps)
-    else:
-        dur = durations
-    decision_s = costs.decision_s
-    creation_s = costs.replica_creation_s
-    core_busy0 = decision_s + dur
-    rep_core_busy = core_busy0 + creation_s
-    replica_path = (checkpoint + dur) + compare
-    replica_tail = creation_s + replica_path
-    core_busy_nospare = rep_core_busy + replica_path
-    return tuple(
-        np.ascontiguousarray(a, dtype=np.float64)
-        for a in (
-            dur,
-            mem_bytes,
-            core_busy0,
-            rep_core_busy,
-            np.maximum(rep_core_busy, replica_tail),
-            core_busy_nospare,
-            np.maximum(core_busy_nospare, replica_tail),
-            (decision_s + creation_s) + (checkpoint + compare),
-            restore + dur,
-            (restore + dur) + vote,
-        )
-    )
+    return chunk if chunk > 0 else max(n_tasks, 1)
 
 
 class SimGraphCache:
@@ -188,22 +122,7 @@ class SimGraphCache:
         self.graph = graph
         self.compiled = compiled
         self.n = compiled.n
-        self.durations = np.asarray(compiled.durations)
-        self.mem_bytes = np.asarray(compiled.mem_bytes)
-        self.input_bytes = np.asarray(compiled.input_bytes)
-        self.output_bytes = np.asarray(compiled.output_bytes)
-        # The Python-list views of the compiled arrays (what the scalar loops
-        # index) are built lazily: the kernel backends run straight off the
-        # ndarrays, so list materialisation is paid only when the pure-Python
-        # loops (or the record assembly) actually need it.
-        self._task_ids: Optional[List[int]] = None
-        self._node_attr: Optional[List[int]] = None
-        self._in_degree: Optional[List[int]] = None
-        self._successors: Optional[List[List[int]]] = None
-        self._edge_bytes: Optional[List[List[float]]] = None
-        self._node_maps: Dict[int, List[int]] = {}
         self._node_maps_np: Dict[int, np.ndarray] = {}
-        self._replay: Dict[Tuple[ReplicationCostModel, bool, float], _ReplayArrays] = {}
         self._replay_np: Dict[
             Tuple[ReplicationCostModel, bool, float], Tuple[np.ndarray, ...]
         ] = {}
@@ -215,59 +134,8 @@ class SimGraphCache:
         """A cache over a compiled graph alone (e.g. mmap-loaded by a worker)."""
         return cls(compiled=compiled)
 
-    # -- lazy list views (indexed by the pure-Python loops) ------------------
-
-    @property
-    def task_ids(self) -> List[int]:
-        """Task ids in dense index order."""
-        if self._task_ids is None:
-            self._task_ids = self.compiled.task_ids.tolist()
-        return self._task_ids
-
-    @property
-    def node_attr(self) -> List[int]:
-        """Explicit node placements (-1 when the runtime is free to choose)."""
-        if self._node_attr is None:
-            self._node_attr = self.compiled.node_attr.tolist()
-        return self._node_attr
-
-    @property
-    def in_degree(self) -> List[int]:
-        """Predecessor counts in dense index order."""
-        if self._in_degree is None:
-            self._in_degree = self.compiled.in_degrees().tolist()
-        return self._in_degree
-
-    @property
-    def successors(self) -> List[List[int]]:
-        """Successors as dense indices, sorted like the reference loop iterates."""
-        if self._successors is None:
-            ptr = self.compiled.succ_indptr.tolist()
-            idx = self.compiled.succ_indices.tolist()
-            self._successors = [idx[ptr[i] : ptr[i + 1]] for i in range(self.n)]
-        return self._successors
-
-    @property
-    def edge_bytes(self) -> List[List[float]]:
-        """Per-edge communication payloads, aligned with :attr:`successors`."""
-        if self._edge_bytes is None:
-            ptr = self.compiled.succ_indptr.tolist()
-            ebs = self.compiled.edge_bytes.tolist()
-            self._edge_bytes = [ebs[ptr[i] : ptr[i + 1]] for i in range(self.n)]
-        return self._edge_bytes
-
-    # -- memoised derived quantities ----------------------------------------
-
-    def node_map(self, n_nodes: int) -> List[int]:
-        """Node of every task on an ``n_nodes`` machine (reference placement rule)."""
-        cached = self._node_maps.get(n_nodes)
-        if cached is None:
-            cached = self.node_map_np(n_nodes).tolist()
-            self._node_maps[n_nodes] = cached
-        return cached
-
     def node_map_np(self, n_nodes: int) -> np.ndarray:
-        """:meth:`node_map` as an int64 array (what the kernel backends index)."""
+        """Node of every task on an ``n_nodes`` machine (reference placement rule)."""
         cached = self._node_maps_np.get(n_nodes)
         if cached is None:
             if n_nodes == 1:
@@ -283,47 +151,70 @@ class SimGraphCache:
         return cached
 
     def replay_arrays(
-        self, machine: MachineSpec, costs: ReplicationCostModel, contention: bool
-    ) -> _ReplayArrays:
-        """The per-task replay terms of one (costs, contention, bandwidth) key.
+        self,
+        machine: MachineSpec,
+        costs: ReplicationCostModel,
+        contention: bool,
+        lo: int = 0,
+        hi: Optional[int] = None,
+    ) -> Tuple[np.ndarray, ...]:
+        """The ten per-task replay terms of tasks ``[lo, hi)``, as float64 arrays.
 
-        Every expression below reproduces the reference loop's scalar
-        arithmetic with the same association order, element-wise — which is
-        what keeps the replay bit-identical while moving ~15 float operations
-        per task out of the event loop.
+        Every expression reproduces the reference loop's scalar arithmetic
+        with the same association order, element-wise — which is what keeps
+        the replay bit-identical while moving ~15 float operations per task
+        out of the event loop.  Being element-wise, the terms of a task range
+        are exactly that slice of the whole graph's terms, which is what lets
+        the Python loop compute them one chunk at a time.
+
+        The tuple order matches the kernel argument order: dur, mem,
+        core_busy0, rep_core_busy, completion_spare, core_busy_nospare,
+        completion_nospare, overhead_rep, restore_dur, restore_dur_vote.
         """
-        key = (costs, bool(contention), machine.memory_bandwidth_Bps)
-        cached = self._replay.get(key)
-        if cached is None:
-            nd = self.replay_arrays_np(machine, costs, contention)
-            # The list views index the very same ndarrays the kernel backends
-            # run on, so the two execution paths cannot diverge numerically.
-            cached = _ReplayArrays(*(a.tolist() for a in nd))
-            self._replay[key] = cached
-        return cached
+        c = self.compiled
+        durations = np.asarray(c.durations[lo:hi])
+        mem_bytes = np.asarray(c.mem_bytes[lo:hi])
+        input_bytes = np.asarray(c.input_bytes[lo:hi])
+        output_bytes = np.asarray(c.output_bytes[lo:hi])
+        checkpoint = costs.checkpoint_latency_s + input_bytes / costs.checkpoint_bandwidth_Bps
+        restore = costs.restore_latency_s + input_bytes / costs.checkpoint_bandwidth_Bps
+        compare = costs.compare_latency_s + output_bytes / costs.compare_bandwidth_Bps
+        vote = costs.compare_latency_s + output_bytes / costs.vote_bandwidth_Bps
+        if contention:
+            dur = np.maximum(durations, mem_bytes / machine.memory_bandwidth_Bps)
+        else:
+            dur = durations
+        decision_s = costs.decision_s
+        creation_s = costs.replica_creation_s
+        core_busy0 = decision_s + dur
+        rep_core_busy = core_busy0 + creation_s
+        replica_path = (checkpoint + dur) + compare
+        replica_tail = creation_s + replica_path
+        core_busy_nospare = rep_core_busy + replica_path
+        return tuple(
+            np.ascontiguousarray(a, dtype=np.float64)
+            for a in (
+                dur,
+                mem_bytes,
+                core_busy0,
+                rep_core_busy,
+                np.maximum(rep_core_busy, replica_tail),
+                core_busy_nospare,
+                np.maximum(core_busy_nospare, replica_tail),
+                (decision_s + creation_s) + (checkpoint + compare),
+                restore + dur,
+                (restore + dur) + vote,
+            )
+        )
 
     def replay_arrays_np(
         self, machine: MachineSpec, costs: ReplicationCostModel, contention: bool
     ) -> Tuple[np.ndarray, ...]:
-        """:meth:`replay_arrays` as contiguous float64 ndarrays (kernel order).
-
-        The tuple order matches the ``_ReplayArrays`` fields and the kernel
-        argument order: dur, mem, core_busy0, rep_core_busy, completion_spare,
-        core_busy_nospare, completion_nospare, overhead_rep, restore_dur,
-        restore_dur_vote.
-        """
+        """:meth:`replay_arrays` over the whole graph, memoised (the kernel's input)."""
         key = (costs, bool(contention), machine.memory_bandwidth_Bps)
         cached = self._replay_np.get(key)
         if cached is None:
-            cached = _replay_terms(
-                self.durations,
-                self.mem_bytes,
-                self.input_bytes,
-                self.output_bytes,
-                machine,
-                costs,
-                contention,
-            )
+            cached = self.replay_arrays(machine, costs, contention)
             self._replay_np[key] = cached
         return cached
 
@@ -346,10 +237,10 @@ class SimGraphCache:
         return cached
 
     def replicated_flags_np(self, config: SimulationConfig) -> np.ndarray:
-        """Per-task replication flags as a uint8 array (kernel form).
+        """Per-task replication flags as a uint8 array.
 
         ``np.isin`` over int64 task ids decides membership exactly like the
-        per-task ``tid in replicated_ids`` of :func:`_replicated_flags`.
+        reference loop's per-task ``tid in replicated_ids``.
         """
         key = (bool(config.replicate_all), config.replicated_ids)
         cached = self._flags_np.get(key)
@@ -365,16 +256,6 @@ class SimGraphCache:
                 cached = np.zeros(self.n, dtype=np.uint8)
             self._flags_np[key] = cached
         return cached
-
-
-def _replicated_flags(cache: SimGraphCache, config: SimulationConfig) -> List[bool]:
-    """Per-task replication flags under ``config``, in dense index order."""
-    if config.replicate_all:
-        return [True] * cache.n
-    if config.replicated_ids is not None:
-        replicated_ids = config.replicated_ids
-        return [tid in replicated_ids for tid in cache.task_ids]
-    return [False] * cache.n
 
 
 def simulate_compiled(
@@ -396,23 +277,9 @@ def simulate_compiled(
     with trace_span(
         active_tracer(), "sim.dispatch", backend=chosen.name, tasks=cache.n, lanes=1
     ):
-        if chosen.name != "python" and cache.n > 0 and machine.n_nodes >= 1:
+        if chosen.name != "python" and cache.n > 0:
             return _replay_kernel_batch(cache, machine, config, [config.seed], chosen, configs=[config])[0]
         return _simulate_python(cache, machine, config)
-
-
-def _simulate_python(
-    cache: SimGraphCache, machine: MachineSpec, config: SimulationConfig
-) -> SimulationResult:
-    """The pure-Python scalar replay (the reference the kernels must match)."""
-    chunk = sim_chunk_tasks()
-    if 0 < chunk < cache.n and not config.collect_records and machine.n_nodes >= 1:
-        return _replay_stream(cache, machine, config, chunk)
-    arrays = cache.replay_arrays(machine, config.costs, config.model_memory_contention)
-    is_replicated = _replicated_flags(cache, config)
-    if machine.n_nodes == 1:
-        return _replay_single_node(cache, machine, config, arrays, is_replicated)
-    return _replay_multi_node(cache, machine, config, arrays, is_replicated)
 
 
 def simulate_compiled_batch(
@@ -428,8 +295,9 @@ def simulate_compiled_batch(
     graph structure, per-task cost terms and replication flags are prepared
     once, each lane pre-draws its own uniform block from
     ``default_rng(SeedSequence(seed))`` — the same chunked generator sequence
-    the scalar path consumes — and the selected backend replays all lanes in
-    one kernel invocation.  Lane ``j`` is bit-identical to
+    the scalar path consumes — and the C kernel replays all lanes in one
+    invocation (the python backend replays them one after another).  Lane
+    ``j`` is bit-identical to
     ``simulate_compiled(cache, machine, replace(config, seed=seeds[j]))``, so
     results do not depend on batch composition or seed order.
     """
@@ -445,7 +313,7 @@ def simulate_compiled_batch(
         tasks=cache.n,
         lanes=len(seeds),
     ):
-        if chosen.name == "python" or cache.n == 0 or machine.n_nodes < 1:
+        if chosen.name == "python" or cache.n == 0:
             return [
                 _simulate_python(cache, machine, replace(config, seed=int(s))) for s in seeds
             ]
@@ -475,10 +343,10 @@ def _replay_kernel_batch(
     machine: MachineSpec,
     config: SimulationConfig,
     seeds: Sequence[int],
-    backend: "_backends.KernelBackend",
+    backend: "_backends.CExtBackend",
     configs: Optional[List[SimulationConfig]] = None,
 ) -> List[SimulationResult]:
-    """Run a seed batch through a compiled kernel backend and assemble results."""
+    """Run a seed batch through the compiled kernel and assemble results."""
     n = cache.n
     n_nodes = machine.n_nodes
     n_lanes = len(seeds)
@@ -540,13 +408,7 @@ def _replay_kernel_batch(
         )
 
     if collect:
-        node_of_list = cache.node_map(n_nodes)
-        is_replicated = _replicated_flags(cache, config)
-        dur_list = cache.replay_arrays(machine, config.costs, contention).dur
-    else:
-        node_of_list = []
-        is_replicated = []
-        dur_list = []
+        shared = (replay[0].tolist(), node_of.tolist(), (flags != 0).tolist())
 
     results: List[SimulationResult] = []
     for j, seed in enumerate(seeds):
@@ -555,13 +417,12 @@ def _replay_kernel_batch(
         else:
             lane_config = replace(config, seed=int(seed))
         if collect:
-            record_arrays: Optional[Tuple[List[float], ...]] = (
+            record_arrays: Optional[Tuple[List, ...]] = (
                 start_at[j].tolist(),
                 finish_at[j].tolist(),
                 overhead_at[j].tolist(),
                 recovery_at[j].tolist(),
-                dur_list,
-            )
+            ) + shared
         else:
             record_arrays = None
         scalars = out_scalars[j]
@@ -571,8 +432,6 @@ def _replay_kernel_batch(
                 cache,
                 machine,
                 lane_config,
-                node_of_list,
-                is_replicated,
                 int(counts[3]),
                 float(scalars[0]),
                 float(scalars[4]),
@@ -594,15 +453,17 @@ def _finish(
     cache: SimGraphCache,
     machine: MachineSpec,
     config: SimulationConfig,
-    node_of: List[int],
-    is_replicated: List[bool],
     n_started: int,
     makespan: float,
     max_node_mem: float,
     totals: Tuple[float, float, float, int, int, int],
-    record_arrays: Optional[Tuple[List[float], ...]],
+    record_arrays: Optional[Tuple[List, ...]],
 ) -> SimulationResult:
-    """Assemble the :class:`SimulationResult` shared by both replay loops."""
+    """Assemble the :class:`SimulationResult` of the Python loop or a kernel lane.
+
+    ``record_arrays`` holds, in dense index order, every task's start,
+    finish, overhead, recovery, base duration, node and replication flag.
+    """
     n = cache.n
     if n_started != n:
         raise RuntimeError(
@@ -612,19 +473,20 @@ def _finish(
     total_work, total_overhead, total_recovery, crashes, sdcs, replicated_count = totals
     records: Dict[int, SimulatedTaskRecord] = {}
     if record_arrays is not None:
-        start_at, finish_at, overhead_at, recovery_at, duration_at = record_arrays
-        for i, tid in enumerate(cache.task_ids):
+        for tid, start, finish, overhead, recovery, duration, node, replicated in zip(
+            cache.compiled.task_ids.tolist(), *record_arrays
+        ):
             records[tid] = SimulatedTaskRecord(
                 task_id=tid,
-                node=node_of[i],
-                start_s=start_at[i],
-                finish_s=finish_at[i],
-                replicated=is_replicated[i],
-                base_duration_s=duration_at[i],
-                overhead_s=overhead_at[i],
-                recovery_s=recovery_at[i],
+                node=node,
+                start_s=start,
+                finish_s=finish,
+                replicated=replicated,
+                base_duration_s=duration,
+                overhead_s=overhead,
+                recovery_s=recovery,
             )
-    if config.model_memory_contention and machine.n_nodes > 0:
+    if config.model_memory_contention:
         bandwidth_bound = max_node_mem / machine.memory_bandwidth_Bps
         makespan = max(makespan, bandwidth_bound)
     return SimulationResult(
@@ -641,558 +503,77 @@ def _finish(
     )
 
 
-def _replay_single_node(
-    cache: SimGraphCache,
-    machine: MachineSpec,
-    config: SimulationConfig,
-    arrays: _ReplayArrays,
-    is_replicated: List[bool],
-) -> SimulationResult:
-    """Specialised replay for one-node machines (the Figure 4/5 shape).
+def _flat(a: np.ndarray, dtype: type) -> memoryview:
+    """``a`` as a flat, indexable memoryview of ``dtype`` items.
 
-    With a single node there is no placement, no cross-node communication
-    delay and a single ready queue, so the loop reduces to heap traffic,
-    fault draws and indexed accumulation.  The event/push order and every
-    accumulation order mirror the reference loop exactly.
+    No copy when ``a`` is already a contiguous ``dtype`` array.  Arrays
+    memory-mapped from the compiled-graph store can sit at unaligned offsets,
+    which NumPy exports in a buffer format memoryview cannot index; casting
+    through bytes views the same memory in the native format.
     """
-    n = cache.n
-    dur = arrays.dur
-    mem = arrays.mem
-    core_busy0 = arrays.core_busy0
-    rep_core_busy = arrays.rep_core_busy
-    completion_spare = arrays.completion_spare
-    core_busy_nospare = arrays.core_busy_nospare
-    completion_nospare = arrays.completion_nospare
-    overhead_rep = arrays.overhead_rep
-    restore_dur = arrays.restore_dur
-    restore_dur_vote = arrays.restore_dur_vote
-    successors = cache.successors
-    decision_s = config.costs.decision_s
-    contention = config.model_memory_contention
-    collect = config.collect_records
-
-    p_crash = config.crash_probability
-    p_sdc = config.sdc_probability
-    crash_mid = 0.0 < p_crash < 1.0
-    crash_hi = p_crash >= 1.0
-    sdc_mid = 0.0 < p_sdc < 1.0
-    sdc_hi = p_sdc >= 1.0
-    rand = np.random.default_rng(np.random.SeedSequence(config.seed)).random
-    dbuf: List[float] = []
-    dlen = 0
-    dpos = 0
-
-    free_cores = machine.cores_per_node
-    free_spares = machine.spare_cores_per_node
-    ready: List[int] = []
-    node_mem = 0.0
-    pending = list(cache.in_degree)
-
-    crashes = 0
-    sdcs = 0
-    total_overhead = 0.0
-    total_recovery = 0.0
-    total_work = 0.0
-    replicated_count = 0
-    n_started = 0
-    makespan = 0.0
-
-    if collect:
-        start_at = [0.0] * n
-        finish_at = [0.0] * n
-        overhead_at = [0.0] * n
-        recovery_at = [0.0] * n
-        record_arrays: Optional[Tuple[List[float], ...]] = (
-            start_at, finish_at, overhead_at, recovery_at, dur,
-        )
-    else:
-        record_arrays = None
-
-    heap: List[Tuple[float, int, int, int]] = []
-    seq = 0
-    for i in range(n):
-        if pending[i] == 0:
-            heap.append((0.0, seq, _READY, i))
-            seq += 1
-
-    while heap:
-        now, _, kind, i = heappop(heap)
-        if kind == _READY:
-            heappush(ready, i)
-        elif kind == _FREE:
-            free_cores += 1
-        elif kind == _SPARE_FREE:
-            free_spares += 1
-            continue
-        else:  # _COMPLETE
-            for s in successors[i]:
-                pending[s] -= 1
-                if pending[s] == 0:
-                    heappush(heap, (now, seq, _READY, s))
-                    seq += 1
-
-        # try_start: drain the ready heap while cores are free (start inlined).
-        while free_cores > 0 and ready:
-            i = heappop(ready)
-            free_cores -= 1
-            if is_replicated[i]:
-                replicated_count += 1
-                if free_spares > 0:
-                    free_spares -= 1
-                    use_spare = True
-                    core_busy = rep_core_busy[i]
-                    completion = completion_spare[i]
-                else:
-                    use_spare = False
-                    core_busy = core_busy_nospare[i]
-                    completion = completion_nospare[i]
-                if crash_mid:
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash0 = dbuf[dpos] < p_crash
-                    dpos += 1
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash1 = dbuf[dpos] < p_crash
-                    dpos += 1
-                else:
-                    crash0 = crash1 = crash_hi
-                if sdc_mid:
-                    if crash0:
-                        sdc0 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc0 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                    if crash1:
-                        sdc1 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc1 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                else:
-                    sdc0 = (not crash0) and sdc_hi
-                    sdc1 = (not crash1) and sdc_hi
-                crashes += crash0 + crash1
-                sdcs += sdc0 + sdc1
-                if crash0 and crash1:
-                    recovery = restore_dur[i]
-                    completion += recovery
-                    total_recovery += recovery
-                elif (sdc0 != sdc1) and not (crash0 or crash1):
-                    recovery = restore_dur_vote[i]
-                    completion += recovery
-                    total_recovery += recovery
-                else:
-                    recovery = 0.0
-                overhead = overhead_rep[i]
-            else:
-                use_spare = False
-                if crash_mid:
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash0 = dbuf[dpos] < p_crash
-                    dpos += 1
-                else:
-                    crash0 = crash_hi
-                if sdc_mid:
-                    if crash0:
-                        sdc0 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc0 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                else:
-                    sdc0 = (not crash0) and sdc_hi
-                crashes += crash0
-                sdcs += sdc0
-                if crash0:
-                    recovery = dur[i]
-                    core_busy = core_busy0[i] + recovery
-                    total_recovery += recovery
-                else:
-                    recovery = 0.0
-                    core_busy = core_busy0[i]
-                completion = core_busy
-                overhead = decision_s
-
-            total_overhead += overhead
-            total_work += dur[i]
-            if contention:
-                node_mem += mem[i]
-            finish = now + completion
-            if finish > makespan:
-                makespan = finish
-            if collect:
-                start_at[i] = now
-                finish_at[i] = finish
-                overhead_at[i] = overhead
-                recovery_at[i] = recovery
-            n_started += 1
-            # Spare release precedes core release at equal timestamps, as in
-            # the reference loop, so a task started by the freed core sees the
-            # spare available.
-            if use_spare:
-                heappush(heap, (now + core_busy, seq, _SPARE_FREE, i))
-                seq += 1
-            heappush(heap, (now + core_busy, seq, _FREE, i))
-            seq += 1
-            heappush(heap, (finish, seq, _COMPLETE, i))
-            seq += 1
-
-    return _finish(
-        cache,
-        machine,
-        config,
-        [0] * n if collect else [],
-        is_replicated,
-        n_started,
-        makespan,
-        node_mem,
-        (total_work, total_overhead, total_recovery, crashes, sdcs, replicated_count),
-        record_arrays,
-    )
+    a = np.ascontiguousarray(a, dtype=dtype)
+    return memoryview(a).cast("B").cast(a.dtype.char)
 
 
-def _replay_multi_node(
-    cache: SimGraphCache,
-    machine: MachineSpec,
-    config: SimulationConfig,
-    arrays: _ReplayArrays,
-    is_replicated: List[bool],
+def _uniforms(seed: int) -> Iterator[float]:
+    """The reference path's uniform sequence for ``seed``, drawn in chunks."""
+    rand = np.random.default_rng(np.random.SeedSequence(seed)).random
+    while True:
+        yield from rand(_DRAW_CHUNK).tolist()
+
+
+def _simulate_python(
+    cache: SimGraphCache, machine: MachineSpec, config: SimulationConfig
 ) -> SimulationResult:
-    """General replay over multiple nodes (cross-node delays, per-node queues)."""
-    n = cache.n
-    n_nodes = machine.n_nodes
-    dur = arrays.dur
-    mem = arrays.mem
-    core_busy0 = arrays.core_busy0
-    rep_core_busy = arrays.rep_core_busy
-    completion_spare = arrays.completion_spare
-    core_busy_nospare = arrays.core_busy_nospare
-    completion_nospare = arrays.completion_nospare
-    overhead_rep = arrays.overhead_rep
-    restore_dur = arrays.restore_dur
-    restore_dur_vote = arrays.restore_dur_vote
-    successors = cache.successors
-    edge_bytes = cache.edge_bytes
-    node_of = cache.node_map(n_nodes)
-    decision_s = config.costs.decision_s
-    contention = config.model_memory_contention
-    collect = config.collect_records
-    net_latency = machine.network_latency_s
-    net_bandwidth = machine.network_bandwidth_Bps
+    """The Python replay: one event loop over chunked replay terms.
 
-    p_crash = config.crash_probability
-    p_sdc = config.sdc_probability
-    crash_mid = 0.0 < p_crash < 1.0
-    crash_hi = p_crash >= 1.0
-    sdc_mid = 0.0 < p_sdc < 1.0
-    sdc_hi = p_sdc >= 1.0
-    rand = np.random.default_rng(np.random.SeedSequence(config.seed)).random
-    dbuf: List[float] = []
-    dlen = 0
-    dpos = 0
-
-    free_cores = [machine.cores_per_node] * n_nodes
-    free_spares = [machine.spare_cores_per_node] * n_nodes
-    node_ready: List[List[int]] = [[] for _ in range(n_nodes)]
-    node_mem = [0.0] * n_nodes
-    pending = list(cache.in_degree)
-    earliest = [0.0] * n
-
-    crashes = 0
-    sdcs = 0
-    total_overhead = 0.0
-    total_recovery = 0.0
-    total_work = 0.0
-    replicated_count = 0
-    n_started = 0
-    makespan = 0.0
-
-    if collect:
-        start_at = [0.0] * n
-        finish_at = [0.0] * n
-        overhead_at = [0.0] * n
-        recovery_at = [0.0] * n
-        record_arrays: Optional[Tuple[List[float], ...]] = (
-            start_at, finish_at, overhead_at, recovery_at, dur,
-        )
-    else:
-        record_arrays = None
-
-    heap: List[Tuple[float, int, int, int]] = []
-    seq = 0
-    for i in range(n):
-        if pending[i] == 0:
-            heap.append((0.0, seq, _READY, i))
-            seq += 1
-
-    while heap:
-        now, _, kind, i = heappop(heap)
-        nid = node_of[i]
-        if kind == _READY:
-            heappush(node_ready[nid], i)
-        elif kind == _FREE:
-            free_cores[nid] += 1
-        elif kind == _SPARE_FREE:
-            free_spares[nid] += 1
-            continue
-        else:  # _COMPLETE
-            ebrow = edge_bytes[i]
-            for k, s in enumerate(successors[i]):
-                delay = 0.0
-                if node_of[s] != nid:
-                    delay = net_latency + ebrow[k] / net_bandwidth
-                arrival = now + delay
-                if arrival > earliest[s]:
-                    earliest[s] = arrival
-                pending[s] -= 1
-                if pending[s] == 0:
-                    at = now if now > earliest[s] else earliest[s]
-                    heappush(heap, (at, seq, _READY, s))
-                    seq += 1
-
-        # try_start(nid): drain the node's ready heap while cores are free.
-        ready = node_ready[nid]
-        while free_cores[nid] > 0 and ready:
-            i = heappop(ready)
-            free_cores[nid] -= 1
-            if is_replicated[i]:
-                replicated_count += 1
-                if free_spares[nid] > 0:
-                    free_spares[nid] -= 1
-                    use_spare = True
-                    core_busy = rep_core_busy[i]
-                    completion = completion_spare[i]
-                else:
-                    use_spare = False
-                    core_busy = core_busy_nospare[i]
-                    completion = completion_nospare[i]
-                if crash_mid:
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash0 = dbuf[dpos] < p_crash
-                    dpos += 1
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash1 = dbuf[dpos] < p_crash
-                    dpos += 1
-                else:
-                    crash0 = crash1 = crash_hi
-                if sdc_mid:
-                    if crash0:
-                        sdc0 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc0 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                    if crash1:
-                        sdc1 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc1 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                else:
-                    sdc0 = (not crash0) and sdc_hi
-                    sdc1 = (not crash1) and sdc_hi
-                crashes += crash0 + crash1
-                sdcs += sdc0 + sdc1
-                if crash0 and crash1:
-                    recovery = restore_dur[i]
-                    completion += recovery
-                    total_recovery += recovery
-                elif (sdc0 != sdc1) and not (crash0 or crash1):
-                    recovery = restore_dur_vote[i]
-                    completion += recovery
-                    total_recovery += recovery
-                else:
-                    recovery = 0.0
-                overhead = overhead_rep[i]
-            else:
-                use_spare = False
-                if crash_mid:
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash0 = dbuf[dpos] < p_crash
-                    dpos += 1
-                else:
-                    crash0 = crash_hi
-                if sdc_mid:
-                    if crash0:
-                        sdc0 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc0 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                else:
-                    sdc0 = (not crash0) and sdc_hi
-                crashes += crash0
-                sdcs += sdc0
-                if crash0:
-                    recovery = dur[i]
-                    core_busy = core_busy0[i] + recovery
-                    total_recovery += recovery
-                else:
-                    recovery = 0.0
-                    core_busy = core_busy0[i]
-                completion = core_busy
-                overhead = decision_s
-
-            total_overhead += overhead
-            total_work += dur[i]
-            if contention:
-                node_mem[nid] += mem[i]
-            finish = now + completion
-            if finish > makespan:
-                makespan = finish
-            if collect:
-                start_at[i] = now
-                finish_at[i] = finish
-                overhead_at[i] = overhead
-                recovery_at[i] = recovery
-            n_started += 1
-            if use_spare:
-                heappush(heap, (now + core_busy, seq, _SPARE_FREE, i))
-                seq += 1
-            heappush(heap, (now + core_busy, seq, _FREE, i))
-            seq += 1
-            heappush(heap, (finish, seq, _COMPLETE, i))
-            seq += 1
-
-    return _finish(
-        cache,
-        machine,
-        config,
-        node_of,
-        is_replicated,
-        n_started,
-        makespan,
-        max(node_mem) if node_mem else 0.0,
-        (total_work, total_overhead, total_recovery, crashes, sdcs, replicated_count),
-        record_arrays,
-    )
-
-
-class _ChunkedReplay:
-    """Bounded-memory view of the replay terms: per-chunk slices on demand.
-
-    ``row(i)`` returns the ten replay terms of task ``i`` as Python floats,
-    computing (and LRU-caching) one chunk-sized slice of :func:`_replay_terms`
-    at a time directly off the compiled graph's (memory-mapped) arrays.  Since
-    every term expression is element-wise, each chunk is bit-identical to the
-    corresponding slice of the full-graph arrays — so the streaming loop reads
-    exactly the floats the in-core loops would.
-    """
-
-    #: Resident chunk budget.  The event-loop frontier visits tasks roughly in
-    #: topological (= dense-index) order, so a handful of chunks absorbs the
-    #: straddle between the started window and its completing predecessors.
-    _CAPACITY = 4
-
-    def __init__(
-        self,
-        cache: SimGraphCache,
-        machine: MachineSpec,
-        config: SimulationConfig,
-        chunk: int,
-    ) -> None:
-        self._compiled = cache.compiled
-        self._machine = machine
-        self._costs = config.costs
-        self._contention = bool(config.model_memory_contention)
-        self._chunk = int(chunk)
-        self._n = cache.n
-        self._chunks: "OrderedDict[int, Tuple[np.ndarray, ...]]" = OrderedDict()
-
-    def row(self, i: int) -> Tuple[float, ...]:
-        """The ten replay terms of task ``i`` (``_ReplayArrays`` field order)."""
-        base, off = divmod(i, self._chunk)
-        terms = self._chunks.get(base)
-        if terms is None:
-            lo = base * self._chunk
-            hi = min(lo + self._chunk, self._n)
-            c = self._compiled
-            terms = _replay_terms(
-                np.asarray(c.durations[lo:hi]),
-                np.asarray(c.mem_bytes[lo:hi]),
-                np.asarray(c.input_bytes[lo:hi]),
-                np.asarray(c.output_bytes[lo:hi]),
-                self._machine,
-                self._costs,
-                self._contention,
-            )
-            while len(self._chunks) >= self._CAPACITY:
-                self._chunks.popitem(last=False)
-            self._chunks[base] = terms
-        else:
-            self._chunks.move_to_end(base)
-        return tuple(float(a[off]) for a in terms)
-
-
-def _replay_stream(
-    cache: SimGraphCache,
-    machine: MachineSpec,
-    config: SimulationConfig,
-    chunk: int,
-) -> SimulationResult:
-    """Out-of-core replay: the general event loop over chunked replay terms.
-
-    Bit-identical to the in-core scalar loops (the general multi-node loop
-    degenerates to the single-node one at ``n_nodes == 1`` — same heap tuples,
-    same draw sequence, same accumulation order), but holds no O(n) Python
-    state: per-task numeric state lives in flat NumPy arrays (pending counts,
-    earliest-start times, node map, replication flags), successor rows are
-    sliced per completion straight off the compiled graph's memory-mapped CSR,
-    and the ten replay-term arrays are materialised one chunk at a time
-    through :class:`_ChunkedReplay`.  Peak resident memory is therefore
-    O(n) * a few numeric words + O(chunk), instead of O(n) Python floats
-    times ten term lists.  Per-task records are not supported here — the
-    dispatcher only selects this loop when ``collect_records`` is off.
+    Per-task state lives in flat NumPy arrays read through memoryviews
+    (pending counts, earliest-start times, node map, replication flags),
+    successor rows are sliced per completion straight off the compiled
+    graph's (memory-mapped) CSR, and the replay terms are computed by
+    :meth:`SimGraphCache.replay_arrays` one chunk of ``$REPRO_SIM_CHUNK_TASKS``
+    tasks at a time and held in a small LRU.  So it runs out of core: peak
+    memory is a few numeric words per task plus the resident chunks, or
+    O(n) Python objects only when ``collect_records`` asks for them.
+    Every chunk size gives bit-identical results.
     """
     n = cache.n
     n_nodes = machine.n_nodes
+    chunk = sim_chunk_tasks(n)
     compiled = cache.compiled
-    terms = _ChunkedReplay(cache, machine, config, chunk)
-    succ_ptr = compiled.succ_indptr
-    succ_idx = compiled.succ_indices
-    succ_ebs = compiled.edge_bytes
-    node_of = cache.node_map_np(n_nodes)
-    flags = cache.replicated_flags_np(config)
-    decision_s = config.costs.decision_s
-    contention = config.model_memory_contention
+    costs = config.costs
+    contention = bool(config.model_memory_contention)
+    collect = config.collect_records
+    decision_s = costs.decision_s
     net_latency = machine.network_latency_s
     net_bandwidth = machine.network_bandwidth_Bps
+
+    succ_ptr = _flat(compiled.succ_indptr, np.int64)
+    succ_idx = _flat(compiled.succ_indices, np.int64)
+    succ_ebs = _flat(compiled.edge_bytes, np.float64)
+    node_np = cache.node_map_np(n_nodes)
+    flags_np = cache.replicated_flags_np(config)
+    node_of = _flat(node_np, np.int64)
+    flags = _flat(flags_np, np.uint8)
+    in_degree = compiled.in_degrees()
+    roots = np.flatnonzero(in_degree == 0).tolist()
+    pending = _flat(in_degree, np.int64)
+    earliest = _flat(np.zeros(n), np.float64)
+
+    resident: "OrderedDict[int, Tuple[memoryview, ...]]" = OrderedDict()
+
+    def chunk_terms(b: int) -> Tuple[memoryview, ...]:
+        """The replay terms of chunk ``b``, computed on a miss (LRU-held)."""
+        terms = resident.get(b)
+        if terms is None:
+            arrays = cache.replay_arrays(machine, costs, contention, b * chunk, (b + 1) * chunk)
+            terms = tuple(_flat(a, np.float64) for a in arrays)
+            if len(resident) >= _RESIDENT_CHUNKS:
+                resident.popitem(last=False)
+            resident[b] = terms
+        else:
+            resident.move_to_end(b)
+        return terms
 
     p_crash = config.crash_probability
     p_sdc = config.sdc_probability
@@ -1200,17 +581,12 @@ def _replay_stream(
     crash_hi = p_crash >= 1.0
     sdc_mid = 0.0 < p_sdc < 1.0
     sdc_hi = p_sdc >= 1.0
-    rand = np.random.default_rng(np.random.SeedSequence(config.seed)).random
-    dbuf: List[float] = []
-    dlen = 0
-    dpos = 0
+    draw = _uniforms(config.seed).__next__
 
     free_cores = [machine.cores_per_node] * n_nodes
     free_spares = [machine.spare_cores_per_node] * n_nodes
     node_ready: List[List[int]] = [[] for _ in range(n_nodes)]
     node_mem = [0.0] * n_nodes
-    pending = compiled.in_degrees()
-    earliest = np.zeros(n, dtype=np.float64)
 
     crashes = 0
     sdcs = 0
@@ -1221,16 +597,23 @@ def _replay_stream(
     n_started = 0
     makespan = 0.0
 
-    heap: List[Tuple[float, int, int, int]] = []
-    seq = 0
-    for i in np.flatnonzero(pending == 0).tolist():
-        heap.append((0.0, seq, _READY, i))
-        seq += 1
+    if collect:
+        start_at = [0.0] * n
+        finish_at = [0.0] * n
+        overhead_at = [0.0] * n
+        recovery_at = [0.0] * n
+        dur_at = [0.0] * n
+
+    heap: List[Tuple[float, int, int, int]] = [
+        (0.0, seq, _READY, i) for seq, i in enumerate(roots)
+    ]
+    seq = len(heap)
+    cur = lo = -1
 
     with trace_span(active_tracer(), "sim.stream", tasks=n, chunk=chunk):
         while heap:
             now, _, kind, i = heappop(heap)
-            nid = int(node_of[i])
+            nid = node_of[i]
             if kind == _READY:
                 heappush(node_ready[nid], i)
             elif kind == _FREE:
@@ -1239,146 +622,105 @@ def _replay_stream(
                 free_spares[nid] += 1
                 continue
             else:  # _COMPLETE
-                elo = int(succ_ptr[i])
-                ehi = int(succ_ptr[i + 1])
-                if ehi > elo:
-                    srow = succ_idx[elo:ehi].tolist()
-                    ebrow = succ_ebs[elo:ehi].tolist()
-                    for k, s in enumerate(srow):
-                        delay = 0.0
-                        if int(node_of[s]) != nid:
-                            delay = net_latency + ebrow[k] / net_bandwidth
-                        arrival = now + delay
-                        if arrival > earliest[s]:
-                            earliest[s] = arrival
-                        pending[s] -= 1
-                        if pending[s] == 0:
-                            e = float(earliest[s])
-                            at = now if now > e else e
-                            heappush(heap, (at, seq, _READY, s))
-                            seq += 1
+                elo = succ_ptr[i]
+                ehi = succ_ptr[i + 1]
+                for s, eb in zip(succ_idx[elo:ehi].tolist(), succ_ebs[elo:ehi].tolist()):
+                    delay = 0.0
+                    if node_of[s] != nid:
+                        delay = net_latency + eb / net_bandwidth
+                    arrival = now + delay
+                    e = earliest[s]
+                    if arrival > e:
+                        earliest[s] = e = arrival
+                    left = pending[s] - 1
+                    pending[s] = left
+                    if left == 0:
+                        heappush(heap, (now if now > e else e, seq, _READY, s))
+                        seq += 1
 
             # try_start(nid): drain the node's ready heap while cores are free.
             ready = node_ready[nid]
             while free_cores[nid] > 0 and ready:
                 i = heappop(ready)
                 free_cores[nid] -= 1
-                (
-                    dur_i,
-                    mem_i,
-                    core_busy0_i,
-                    rep_core_busy_i,
-                    completion_spare_i,
-                    core_busy_nospare_i,
-                    completion_nospare_i,
-                    overhead_rep_i,
-                    restore_dur_i,
-                    restore_dur_vote_i,
-                ) = terms.row(i)
+                b = i // chunk
+                if b != cur:
+                    cur = b
+                    lo = b * chunk
+                    (
+                        dur,
+                        mem,
+                        core_busy0,
+                        rep_core_busy,
+                        completion_spare,
+                        core_busy_nospare,
+                        completion_nospare,
+                        overhead_rep,
+                        restore_dur,
+                        restore_dur_vote,
+                    ) = chunk_terms(cur)
+                k = i - lo
                 if flags[i]:
                     replicated_count += 1
                     if free_spares[nid] > 0:
                         free_spares[nid] -= 1
                         use_spare = True
-                        core_busy = rep_core_busy_i
-                        completion = completion_spare_i
+                        core_busy = rep_core_busy[k]
+                        completion = completion_spare[k]
                     else:
                         use_spare = False
-                        core_busy = core_busy_nospare_i
-                        completion = completion_nospare_i
-                    if crash_mid:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        crash0 = dbuf[dpos] < p_crash
-                        dpos += 1
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        crash1 = dbuf[dpos] < p_crash
-                        dpos += 1
-                    else:
-                        crash0 = crash1 = crash_hi
-                    if sdc_mid:
-                        if crash0:
-                            sdc0 = False
-                        else:
-                            if dpos >= dlen:
-                                dbuf = rand(_DRAW_CHUNK).tolist()
-                                dlen = _DRAW_CHUNK
-                                dpos = 0
-                            sdc0 = dbuf[dpos] < p_sdc
-                            dpos += 1
-                        if crash1:
-                            sdc1 = False
-                        else:
-                            if dpos >= dlen:
-                                dbuf = rand(_DRAW_CHUNK).tolist()
-                                dlen = _DRAW_CHUNK
-                                dpos = 0
-                            sdc1 = dbuf[dpos] < p_sdc
-                            dpos += 1
-                    else:
-                        sdc0 = (not crash0) and sdc_hi
-                        sdc1 = (not crash1) and sdc_hi
+                        core_busy = core_busy_nospare[k]
+                        completion = completion_nospare[k]
+                    crash0 = draw() < p_crash if crash_mid else crash_hi
+                    crash1 = draw() < p_crash if crash_mid else crash_hi
+                    sdc0 = not crash0 and (draw() < p_sdc if sdc_mid else sdc_hi)
+                    sdc1 = not crash1 and (draw() < p_sdc if sdc_mid else sdc_hi)
                     crashes += crash0 + crash1
                     sdcs += sdc0 + sdc1
                     if crash0 and crash1:
-                        recovery = restore_dur_i
+                        recovery = restore_dur[k]
                         completion += recovery
                         total_recovery += recovery
                     elif (sdc0 != sdc1) and not (crash0 or crash1):
-                        recovery = restore_dur_vote_i
+                        recovery = restore_dur_vote[k]
                         completion += recovery
                         total_recovery += recovery
                     else:
                         recovery = 0.0
-                    overhead = overhead_rep_i
+                    overhead = overhead_rep[k]
                 else:
                     use_spare = False
-                    if crash_mid:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        crash0 = dbuf[dpos] < p_crash
-                        dpos += 1
-                    else:
-                        crash0 = crash_hi
-                    if sdc_mid:
-                        if crash0:
-                            sdc0 = False
-                        else:
-                            if dpos >= dlen:
-                                dbuf = rand(_DRAW_CHUNK).tolist()
-                                dlen = _DRAW_CHUNK
-                                dpos = 0
-                            sdc0 = dbuf[dpos] < p_sdc
-                            dpos += 1
-                    else:
-                        sdc0 = (not crash0) and sdc_hi
+                    crash0 = draw() < p_crash if crash_mid else crash_hi
+                    sdc0 = not crash0 and (draw() < p_sdc if sdc_mid else sdc_hi)
                     crashes += crash0
                     sdcs += sdc0
                     if crash0:
-                        recovery = dur_i
-                        core_busy = core_busy0_i + recovery
+                        recovery = dur[k]
+                        core_busy = core_busy0[k] + recovery
                         total_recovery += recovery
                     else:
                         recovery = 0.0
-                        core_busy = core_busy0_i
+                        core_busy = core_busy0[k]
                     completion = core_busy
                     overhead = decision_s
 
                 total_overhead += overhead
-                total_work += dur_i
+                total_work += dur[k]
                 if contention:
-                    node_mem[nid] += mem_i
+                    node_mem[nid] += mem[k]
                 finish = now + completion
                 if finish > makespan:
                     makespan = finish
+                if collect:
+                    start_at[i] = now
+                    finish_at[i] = finish
+                    overhead_at[i] = overhead
+                    recovery_at[i] = recovery
+                    dur_at[i] = dur[k]
                 n_started += 1
+                # Spare release precedes core release at equal timestamps, as
+                # in the reference loop, so a task started by the freed core
+                # sees the spare available.
                 if use_spare:
                     heappush(heap, (now + core_busy, seq, _SPARE_FREE, i))
                     seq += 1
@@ -1387,17 +729,27 @@ def _replay_stream(
                 heappush(heap, (finish, seq, _COMPLETE, i))
                 seq += 1
 
+    if collect:
+        record_arrays: Optional[Tuple[List, ...]] = (
+            start_at,
+            finish_at,
+            overhead_at,
+            recovery_at,
+            dur_at,
+            node_np.tolist(),
+            (flags_np != 0).tolist(),
+        )
+    else:
+        record_arrays = None
     return _finish(
         cache,
         machine,
         config,
-        [],
-        [],
         n_started,
         makespan,
-        max(node_mem) if node_mem else 0.0,
+        max(node_mem),
         (total_work, total_overhead, total_recovery, crashes, sdcs, replicated_count),
-        None,
+        record_arrays,
     )
 
 

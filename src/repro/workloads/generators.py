@@ -123,7 +123,9 @@ def erdos_pred_indices(
       (plus one terminating draw per node), so the cost is O(edges).  The
       gap ``floor(log(1 - u) / log(1 - p))`` is the standard inverse-CDF
       geometric skip; ``1 - u`` maps ``random()``'s ``[0, 1)`` onto
-      ``(0, 1]`` so the logarithm is always finite.
+      ``(0, 1]`` so the logarithm is always finite.  The gap is compared
+      with the tasks left before it is truncated: at a tiny ``p`` it
+      overflows to infinity, which ends the row instead of raising.
     """
     if j == 0:
         return []
@@ -141,9 +143,10 @@ def erdos_pred_indices(
     i = -1
     while True:
         u = 1.0 - gen.random()
-        i += 1 + int(math.log(u) / log_q)
-        if i >= j:
+        gap = math.log(u) / log_q
+        if gap >= j - 1 - i:
             return preds
+        i += 1 + int(gap)
         preds.append(i)
 
 

@@ -7,8 +7,9 @@ Covers the ISSUE-10 tentpole and its regression satellites:
   guarantee that makes the direct path a drop-in cache citizen;
 * the erdos ``sampling=skip`` O(edges) generator (a spec parameter, so the
   two draw orders can never share a cache entry);
-* the out-of-core streaming replay (``REPRO_SIM_CHUNK_TASKS``) against the
-  in-core scalar loops, bit for bit;
+* the python backend's chunked replay (``REPRO_SIM_CHUNK_TASKS``) against
+  the reference loop at chunk sizes 1, 7 and n, records included, bit for
+  bit;
 * direct generation wired through ``compiled_sim_cache`` (store and
   in-memory branches) behind ``REPRO_DIRECT_GEN``;
 * quarantine-on-corruption for torn zips whose damage lands inside the
@@ -18,6 +19,7 @@ Covers the ISSUE-10 tentpole and its regression satellites:
 import json
 import os
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,11 +31,11 @@ from repro.analysis.runner import (
     direct_gen_enabled,
 )
 from repro.runtime.compiled import ARRAY_FIELDS, CompiledGraphStore, compile_graph
-from repro.simulator.execution import SimulationConfig
+from repro.simulator.execution import SimulationConfig, simulate_graph
 from repro.simulator.fastpath import (
     SimGraphCache,
-    _simulate_python,
     sim_chunk_tasks,
+    simulate_compiled,
     simulate_compiled_batch,
 )
 from repro.simulator.machine import MachineSpec
@@ -139,6 +141,8 @@ class TestErdosSkipSampling:
         assert erdos_pred_indices(gen, 10, 1.0, "skip") == list(range(10))
         # No draws are consumed for the closed-form cases above.
         assert gen.random() == np.random.default_rng(0).random()
+        # A subnormal p makes the first gap infinite: no edges, no overflow.
+        assert erdos_pred_indices(np.random.default_rng(0), 10, 5e-324, "skip") == []
 
     def test_skip_preds_sorted_unique_and_deterministic(self):
         preds = erdos_pred_indices(np.random.default_rng(9), 500, 0.05, "skip")
@@ -162,6 +166,9 @@ class TestErdosSkipSampling:
 
 
 class TestStreamingReplay:
+    """The python backend's one loop equals the reference at every chunk size."""
+
+    SPEC = "layered:depth=25,width=12,seed=4"
     MACHINES = (
         MachineSpec(n_nodes=1, cores_per_node=6, spare_cores_per_node=1),
         MachineSpec(n_nodes=3, cores_per_node=3, spare_cores_per_node=1),
@@ -184,24 +191,60 @@ class TestStreamingReplay:
             r.crashes_injected, r.sdcs_injected, r.replicated_tasks,
         )
 
-    def test_stream_bit_identical_to_in_core(self, monkeypatch):
-        compiled = generate_compiled(parse_workload("layered:depth=25,width=12,seed=4"), 1.0)
+    def _check_chunk_sizes(self, monkeypatch, collect_records):
+        graph = WorkloadBenchmark(parse_workload(self.SPEC), scale=1.0).build_graph()
+        compiled = compile_graph(graph)
         for machine in self.MACHINES:
             for config in self.CONFIGS:
-                monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "0")
-                expected = _simulate_python(SimGraphCache(compiled=compiled), machine, config)
-                monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "37")
-                streamed = _simulate_python(SimGraphCache(compiled=compiled), machine, config)
-                assert self._fields(streamed) == self._fields(expected)
+                config = replace(config, collect_records=collect_records)
+                expected = simulate_graph(graph, machine, config)
+                for chunk in (1, 7, compiled.n):
+                    monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", str(chunk))
+                    got = simulate_compiled(
+                        SimGraphCache(compiled=compiled), machine, config, backend="python"
+                    )
+                    where = (machine, config, chunk)
+                    assert self._fields(got) == self._fields(expected), where
+                    assert got.records == (expected.records if collect_records else {}), where
 
-    def test_records_requested_bypasses_streaming(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "5")
-        compiled = generate_compiled(parse_workload("wavefront:rows=6,cols=6"), 1.0)
-        config = SimulationConfig(collect_records=True)
-        result = _simulate_python(
-            SimGraphCache(compiled=compiled), MachineSpec(n_nodes=1), config
+    def test_chunked_replay_matches_reference(self, monkeypatch):
+        self._check_chunk_sizes(monkeypatch, collect_records=False)
+
+    def test_chunked_records_match_reference(self, monkeypatch):
+        self._check_chunk_sizes(monkeypatch, collect_records=True)
+
+    @staticmethod
+    def _unaligned(a):
+        """A copy of ``a`` starting one byte into its buffer (unaligned)."""
+        a = np.asarray(a)
+        out = np.frombuffer(bytearray(a.nbytes + 1), dtype=a.dtype, count=a.size, offset=1)
+        out[:] = a
+        return out
+
+    def test_unaligned_and_store_loaded_graphs_replay(self, monkeypatch, tmp_path):
+        # Store members are memory-mapped wherever the zip layout puts them,
+        # so the loop must read arrays at any byte offset.
+        spec = parse_workload(self.SPEC)
+        compiled = generate_compiled(spec, 1.0)
+        unaligned = replace(
+            compiled, **{f: self._unaligned(getattr(compiled, f)) for f in ARRAY_FIELDS}
         )
-        assert len(result.records) == compiled.n  # records still materialise
+        store = CompiledGraphStore(str(tmp_path))
+        generate_compiled_to_store(spec, 1.0, store)
+        loaded = store.load(spec.canonical, 1.0, None)
+        assert isinstance(loaded.durations, np.memmap)
+        monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "7")
+        for machine in self.MACHINES:
+            for config in self.CONFIGS:
+                expected = simulate_compiled(
+                    SimGraphCache(compiled=compiled), machine, config, backend="python"
+                )
+                for other in (unaligned, loaded):
+                    got = simulate_compiled(
+                        SimGraphCache(compiled=other), machine, config, backend="python"
+                    )
+                    assert self._fields(got) == self._fields(expected)
+                    assert got.records == expected.records
 
     def test_batch_python_backend_streams_consistently(self, monkeypatch):
         compiled = generate_compiled(parse_workload("erdos:tasks=150,p=0.04,sampling=skip"), 1.0)
@@ -221,12 +264,16 @@ class TestStreamingReplay:
 
     def test_chunk_env_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_CHUNK_TASKS", raising=False)
-        assert sim_chunk_tasks() > 0
+        assert sim_chunk_tasks(100) > 0
         monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "1234")
-        assert sim_chunk_tasks() == 1234
+        assert sim_chunk_tasks(100) == 1234
+        for whole in ("0", "-3"):  # <= 0: the whole graph is one chunk
+            monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", whole)
+            assert sim_chunk_tasks(100) == 100
+            assert sim_chunk_tasks(0) == 1
         monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "many")
         with pytest.raises(ValueError, match="REPRO_SIM_CHUNK_TASKS"):
-            sim_chunk_tasks()
+            sim_chunk_tasks(100)
 
 
 class TestRunnerWiring:

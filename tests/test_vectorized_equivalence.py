@@ -8,7 +8,6 @@ Figure-level summaries are additionally checked through the public drivers,
 which exercises the experiment engine's fast/reference duality end to end.
 """
 
-import importlib.util
 import time
 from dataclasses import replace
 
@@ -39,7 +38,6 @@ from repro.simulator.backend import BackendUnavailable, resolve_backend
 from repro.simulator.execution import SimulationConfig, simulate_graph
 from repro.simulator.fastpath import (
     SimGraphCache,
-    _replicated_flags,
     simulate_compiled,
     simulate_compiled_batch,
     simulate_graph_fast,
@@ -376,7 +374,7 @@ class TestBatchedSimulation:
             cache, shared_memory_node(2), SimulationConfig(), seeds=[]
         ) == []
 
-    @pytest.mark.parametrize("backend", ["cext", "pykernel"])
+    @pytest.mark.parametrize("backend", ["cext"])
     def test_compiled_backends_match_python(self, graphs, backend):
         _backend_or_skip(backend)
         cache = SimGraphCache(graphs["cholesky"])
@@ -391,21 +389,16 @@ class TestBatchedSimulation:
                 cache, machine, config, _BATCH_SEEDS, backend=backend
             )
 
-    @pytest.mark.skipif(
-        importlib.util.find_spec("numba") is None, reason="numba not installed"
-    )
-    def test_numba_backend_matches_python(self, graphs):
-        _backend_or_skip("numba")
-        cache = SimGraphCache(graphs["cholesky"])
-        config = SimulationConfig(replicate_all=True, crash_probability=0.05, seed=0)
-        self._assert_lanes_match_scalar(
-            cache, shared_memory_node(4), config, _BATCH_SEEDS, backend="numba"
-        )
+    @pytest.mark.parametrize("name", ["numba", "pykernel"])
+    def test_retired_backend_names_raise(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_SIM_BACKEND", name)
+        with pytest.raises(ValueError, match=r"REPRO_SIM_BACKEND.*auto\|python\|cext"):
+            resolve_backend()
 
 
 class TestReplicatedIdsNormalization:
     """Regression: list-valued ``replicated_ids`` used to hit an O(n·m)
-    membership scan in ``_replicated_flags``; the config now normalizes to a
+    membership scan in the replication flags; the config now normalizes to a
     frozenset at construction, so flags stay O(n) and results are unchanged."""
 
     def test_list_config_is_normalized_and_identical(self, graphs):
@@ -436,7 +429,7 @@ class TestReplicatedIdsNormalization:
         cache = SimGraphCache(graph)
         config = SimulationConfig(replicated_ids=list(graph.task_ids()))
         start = time.monotonic()
-        flags = _replicated_flags(cache, config)
+        flags = cache.replicated_flags_np(config)
         elapsed = time.monotonic() - start
-        assert all(flags) and len(flags) == len(graph)
+        assert flags.all() and len(flags) == len(graph)
         assert elapsed < 5.0
