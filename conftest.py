@@ -10,6 +10,8 @@ Also provides the suite-wide test conveniences:
   serially (equivalent to ``REPRO_REFERENCE=1 REPRO_PARALLELISM=1``);
 * the ``quick``/``slow`` markers — everything outside ``benchmarks/`` is
   auto-marked ``quick`` so ``pytest -m quick`` is a sub-30-second smoke run;
+* ``REPRO_PARALLELISM=2`` when unset, so drivers called without a worker
+  count run the same code on a 1-core and a many-core machine;
 * hypothesis profiles — the default ``repro`` profile caps examples at 30,
   the ``quick`` profile (loaded automatically under ``-m quick``, or via
   ``HYPOTHESIS_PROFILE=quick``) at 5.
@@ -51,6 +53,7 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
+    os.environ.setdefault("REPRO_PARALLELISM", "2")
     config.addinivalue_line("markers", "quick: fast test, part of `pytest -m quick`")
     config.addinivalue_line("markers", "slow: benchmark-scale test, excluded from the quick run")
     # libcst (pulled in by hypothesis' codemod machinery) triggers this on 3.11.

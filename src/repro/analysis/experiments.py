@@ -18,7 +18,9 @@ by an :class:`~repro.analysis.runner.ExperimentEngine`:
   ``REPRO_REFERENCE=1``, or use the benchmark harness's ``--reference`` flag);
 * generated task graphs are memoised per process keyed by
   (benchmark, scale, node count), so a graph is built once per run instead of
-  once per policy x rate cell.
+  once per policy x rate cell; each ``@cell_kind`` declares the keys its
+  fast-path cells read, so a parallel map builds each missing graph once
+  before it sends the cells.
 
 Cell payloads are plain row dictionaries, so results are identical for any
 parallelism and worker scheduling order.
@@ -32,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.runner import (
     ExperimentEngine,
     ExperimentSpec,
+    GraphKey,
     benchmark_graph,
     benchmark_instance,
     cell_kind,
@@ -120,6 +123,14 @@ def _seed_makespans(cache, graph, machine, config, seeds, fast) -> List[float]:
     else:
         sims = [simulate(graph, machine, replace(config, seed=s), fast=False) for s in seeds]
     return [sim.makespan_s for sim in sims]
+
+
+def _registry_graph(spec: ExperimentSpec) -> List[GraphKey]:
+    """The graph a fast cell reads: its benchmark at registry placement.
+
+    Reference-path cells read no compiled graph, so they declare none.
+    """
+    return [(spec.benchmark, spec.scale, None)] if spec.fast else []
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -241,7 +252,7 @@ class Table1Result:
         return table.render()
 
 
-@cell_kind("table1_row")
+@cell_kind("table1_row", graphs=_registry_graph)
 def _table1_row(spec: ExperimentSpec) -> ExperimentRow:
     """One Table I row: the benchmark's inventory facts.
 
@@ -330,7 +341,7 @@ class Figure3Result:
         return "\n".join(lines)
 
 
-@cell_kind("fig3_cell")
+@cell_kind("fig3_cell", graphs=_registry_graph)
 def _fig3_cell(spec: ExperimentSpec) -> ExperimentRow:
     """One Figure 3 cell: App_FIT on one benchmark at one rate multiplier.
 
@@ -444,7 +455,7 @@ class Figure4Result:
         return table.render() + f"\n\naverage overhead: {self.average_overhead_percent:.2f}%"
 
 
-@cell_kind("fig4_row")
+@cell_kind("fig4_row", graphs=_registry_graph)
 def _fig4_row(spec: ExperimentSpec) -> ExperimentRow:
     """One Figure 4 row: simulate one benchmark bare and fully replicated.
 
@@ -551,7 +562,7 @@ def _speedup_rows(
     ]
 
 
-@cell_kind("fig5_curve")
+@cell_kind("fig5_curve", graphs=_registry_graph)
 def _fig5_curve(spec: ExperimentSpec) -> List[ExperimentRow]:
     """One Figure 5 curve: a core-count sweep at one fixed fault rate."""
     fault_rate: float = spec.param("fault_rate")
@@ -619,7 +630,14 @@ def figure5_scalability_shared(
     return result
 
 
-@cell_kind("fig6_curve")
+def _fig6_graphs(spec: ExperimentSpec) -> List[GraphKey]:
+    """One graph per node count of a fast Figure 6 curve."""
+    if not spec.fast:
+        return []
+    return [(spec.benchmark, spec.scale, n) for n in spec.param("node_counts")]
+
+
+@cell_kind("fig6_curve", graphs=_fig6_graphs)
 def _fig6_curve(spec: ExperimentSpec) -> List[ExperimentRow]:
     """One Figure 6 curve: a node-count sweep at one fixed fault rate."""
     fault_rate: float = spec.param("fault_rate")
@@ -894,7 +912,7 @@ class RateSweepResult:
         return table.render()
 
 
-@cell_kind("rate_sweep_cell")
+@cell_kind("rate_sweep_cell", graphs=_registry_graph)
 def _rate_sweep_cell(spec: ExperimentSpec) -> ExperimentRow:
     """One rate-sweep cell: App_FIT demand at one (multiplier, residual) point."""
     rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
@@ -997,7 +1015,12 @@ class SweepResult:
         return table.render()
 
 
-@cell_kind("policy_cell")
+def _policy_graphs(spec: ExperimentSpec) -> List[GraphKey]:
+    """Only a fast ``app_fit`` cell reads the compiled graph."""
+    return _registry_graph(spec) if spec.param("policy") == "app_fit" else []
+
+
+@cell_kind("policy_cell", graphs=_policy_graphs)
 def _policy_cell(spec: ExperimentSpec) -> ExperimentRow:
     """One sweep cell: a named policy on one benchmark at one rate multiplier.
 
@@ -1154,7 +1177,7 @@ class WorkloadSweepResult:
         return table.render()
 
 
-@cell_kind("workload_cell")
+@cell_kind("workload_cell", graphs=_registry_graph)
 def _workload_cell(spec: ExperimentSpec) -> ExperimentRow:
     """One workload sweep cell: selection + simulation on a synthetic graph.
 

@@ -5,8 +5,11 @@ one error-rate multiplier, one (benchmark, fault-rate) speedup curve, and so
 on.  This module expresses a cell as an :class:`ExperimentSpec` (a small,
 picklable value object), executes grids of them through an
 :class:`ExperimentEngine`, and memoises the expensive shared inputs (generated
-task graphs and their simulation caches) per worker process so each graph is
-built once per run instead of once per policy x rate cell.
+task graphs and their simulation caches) per process.  With the on-disk
+compiled-graph store on (the CLI's default), each graph is built once per
+run: a parallel map builds the graphs its cells declare (see
+:func:`cell_kind`) before it sends the cells, one pool task per missing graph,
+and threads of one process that miss the same graph wait for one build.
 
 Key properties:
 
@@ -16,9 +19,13 @@ Key properties:
   ``parallelism`` and any worker scheduling order.  The determinism test suite
   pins this down.
 * **Parallelism** — ``parallelism > 1`` fans cells out over a
-  ``ProcessPoolExecutor``; ``parallelism <= 1`` (or a single-cell grid) runs
-  inline, with the same memoisation, which is also the mode the portable
-  figure drivers default to on single-core machines.
+  ``ProcessPoolExecutor`` that the engine forks at its first parallel map
+  and keeps for every later one, so workers keep their graph memos and their
+  loaded C kernel across a run's grids; :meth:`ExperimentEngine.close` (or
+  ``with engine:``, or dropping the engine) shuts it down.  ``parallelism
+  <= 1`` (or a grid with a single miss) runs inline, with the same
+  memoisation, which is also the mode the portable figure drivers default to
+  on single-core machines.
 * **Fast/reference duality** — ``fast=True`` (default) routes cells through
   the vectorized fault-evaluation fast path
   (:mod:`repro.core.vectorized`, :mod:`repro.simulator.fastpath`);
@@ -41,7 +48,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -158,12 +167,21 @@ def default_fast() -> bool:
 
 
 def default_parallelism() -> int:
-    """Worker count used when a driver is called without ``parallelism``."""
+    """Worker count used when a driver is called without ``parallelism``.
+
+    A ``REPRO_PARALLELISM`` that is not an integer raises a ``ValueError``
+    naming the variable.
+    """
     if _DEFAULTS["parallelism"] is not None:
         return max(1, int(_DEFAULTS["parallelism"]))
     env = os.environ.get("REPRO_PARALLELISM")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"REPRO_PARALLELISM={env!r} is not an integer worker count"
+            ) from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -230,9 +248,34 @@ def make_spec(
 # per-process memoisation of generated graphs
 # ---------------------------------------------------------------------------------
 
-_BENCH_CACHE: Dict[Tuple[str, float, Optional[int]], Benchmark] = {}
+#: A graph configuration: (benchmark, scale, node count or ``None``).
+GraphKey = Tuple[str, float, Optional[int]]
+
+_BENCH_CACHE: Dict[GraphKey, Benchmark] = {}
 _SIM_CACHES: Dict[int, SimGraphCache] = {}
-_COMPILED_CACHE: Dict[Tuple[str, float, Optional[int]], SimGraphCache] = {}
+_COMPILED_CACHE: Dict[GraphKey, SimGraphCache] = {}
+
+#: One lock per graph key, so threads that miss the same graph wait for one
+#: build; ``_LOCKS_GUARD`` serialises creating them.
+_BUILD_LOCKS: Dict[GraphKey, threading.Lock] = {}
+_LOCKS_GUARD = threading.Lock()
+
+
+def _build_lock(key: GraphKey) -> threading.Lock:
+    """The lock that serialises building one graph configuration."""
+    with _LOCKS_GUARD:
+        return _BUILD_LOCKS.setdefault(key, threading.Lock())
+
+
+def _reset_build_locks() -> None:
+    """Fresh locks in a forked child: a lock another thread held at the fork
+    would stay held there forever."""
+    global _LOCKS_GUARD
+    _LOCKS_GUARD = threading.Lock()
+    _BUILD_LOCKS.clear()
+
+
+os.register_at_fork(after_in_child=_reset_build_locks)
 
 
 def benchmark_instance(
@@ -293,23 +336,39 @@ def compiled_sim_cache(
     it came from is dropped, so a worker's memory does not grow with every
     configuration it compiles.  Without the store, the replay cache wraps
     the memoised task graph itself.
+
+    A memo miss takes a per-key lock and checks the memo again under it, so
+    threads of one process that miss the same configuration (the service's
+    embedded workers) wait for one build instead of each building it.  Pool
+    workers keep their memo for their engine's life; the
+    :class:`ExperimentEngine` builds a map's missing store entries before it
+    sends the cells that read them (see :func:`cell_kind`).
     """
     key = (name, scale, n_nodes)
     cache = _COMPILED_CACHE.get(key)
-    if cache is not None:
-        return cache
+    if cache is None:
+        with _build_lock(key):
+            cache = _COMPILED_CACHE.get(key)
+            if cache is None:
+                cache = _COMPILED_CACHE[key] = _load_or_build(name, scale, n_nodes)
+    return cache
+
+
+def _load_or_build(name: str, scale: float, n_nodes: Optional[int]) -> SimGraphCache:
+    """The replay cache of one configuration: loaded, generated or compiled."""
     direct_spec = _direct_workload_spec(name, n_nodes)
+    attrs = dict(benchmark=name, scale=scale, n_nodes=n_nodes)
     if graph_cache_enabled():
         tracer = active_tracer()
         store = CompiledGraphStore(graph_cache_root())
-        with trace_span(tracer, "graph.load", benchmark=name, scale=scale) as span:
+        with trace_span(tracer, "graph.load", **attrs) as span:
             compiled = store.load(name, scale, n_nodes)
             span.set(hit=compiled is not None)
         if compiled is None:
             if direct_spec is not None:
                 from repro.workloads.direct import generate_compiled
 
-                with trace_span(tracer, "graph.generate", benchmark=name, scale=scale):
+                with trace_span(tracer, "graph.generate", **attrs):
                     t0 = time.perf_counter()
                     generated = generate_compiled(direct_spec, scale)
                     store.save(
@@ -325,7 +384,7 @@ def compiled_sim_cache(
                 # the property the out-of-core replay relies on.
                 compiled = store.load(name, scale, n_nodes)
             if compiled is None:
-                with trace_span(tracer, "graph.compile", benchmark=name, scale=scale):
+                with trace_span(tracer, "graph.compile", **attrs):
                     t0 = time.perf_counter()
                     compiled = compile_graph(benchmark_graph(name, scale, n_nodes))
                     store.save(
@@ -333,20 +392,14 @@ def compiled_sim_cache(
                     )
                 # The compiled form now serves every later cell: drop the object
                 # graph, so a worker holds one at a time, not every one it built.
-                _BENCH_CACHE.pop(key, None)
-        cache = SimGraphCache.from_compiled(compiled)
-    elif direct_spec is not None:
+                _BENCH_CACHE.pop((name, scale, n_nodes), None)
+        return SimGraphCache.from_compiled(compiled)
+    if direct_spec is not None:
         from repro.workloads.direct import generate_compiled
 
-        with trace_span(
-            active_tracer(), "graph.generate", benchmark=name, scale=scale
-        ):
-            cache = SimGraphCache.from_compiled(generate_compiled(direct_spec, scale))
-    else:
-        graph = benchmark_graph(name, scale, n_nodes)
-        cache = sim_cache(graph)
-    _COMPILED_CACHE[key] = cache
-    return cache
+        with trace_span(active_tracer(), "graph.generate", **attrs):
+            return SimGraphCache.from_compiled(generate_compiled(direct_spec, scale))
+    return sim_cache(benchmark_graph(name, scale, n_nodes))
 
 
 def _direct_workload_spec(name: str, n_nodes: Optional[int]) -> Optional[Any]:
@@ -393,31 +446,67 @@ def clear_caches() -> None:
 
 _CELL_KINDS: Dict[str, Callable[[ExperimentSpec], Any]] = {}
 
+#: A cell kind's graph declaration: the keys a spec passes to
+#: :func:`compiled_sim_cache`.
+GraphsOf = Callable[[ExperimentSpec], Sequence[GraphKey]]
 
-def cell_kind(name: str) -> Callable[[Callable[[ExperimentSpec], Any]], Callable]:
-    """Register a cell function under ``name`` (used by the experiment drivers)."""
+_CELL_GRAPHS: Dict[str, GraphsOf] = {}
+
+
+def cell_kind(
+    name: str, graphs: Optional[GraphsOf] = None
+) -> Callable[[Callable[[ExperimentSpec], Any]], Callable]:
+    """Register a cell function under ``name`` (used by the experiment drivers).
+
+    ``graphs`` declares the ``(benchmark, scale, n_nodes)`` keys a spec's
+    cell passes to :func:`compiled_sim_cache` (``None``: it reads none).  A
+    parallel :meth:`ExperimentEngine.map` builds the declared keys missing
+    from the compiled-graph store, each once, before it sends the cells, so
+    two pool workers never build the same graph at the same time.  A
+    declaration that misses a key costs only that duplicated build.
+    """
 
     def decorate(func: Callable[[ExperimentSpec], Any]) -> Callable:
         _CELL_KINDS[name] = func
+        if graphs is not None:
+            _CELL_GRAPHS[name] = graphs
         return func
 
     return decorate
 
 
-def run_cell(spec: ExperimentSpec) -> Any:
-    """Execute one cell in the current process (module-level, hence picklable)."""
-    func = _CELL_KINDS.get(spec.kind)
+def _registered(kind: str) -> Optional[Callable[[ExperimentSpec], Any]]:
+    """The cell function of ``kind``, registering the standard kinds if needed."""
+    func = _CELL_KINDS.get(kind)
     if func is None:
         # A spawn-started worker has this module but not the driver module
         # whose import registers the standard cells; pull it in once.
         import repro.analysis.experiments  # noqa: F401  (registers cell kinds)
 
-        func = _CELL_KINDS.get(spec.kind)
+        func = _CELL_KINDS.get(kind)
+    return func
+
+
+def spec_graphs(spec: ExperimentSpec) -> List[GraphKey]:
+    """The graph keys ``spec``'s cell declares (see :func:`cell_kind`)."""
+    _registered(spec.kind)
+    graphs = _CELL_GRAPHS.get(spec.kind)
+    return list(graphs(spec)) if graphs is not None else []
+
+
+def run_cell(spec: ExperimentSpec) -> Any:
+    """Execute one cell in the current process (module-level, hence picklable)."""
+    func = _registered(spec.kind)
     if func is None:
         raise KeyError(
             f"unknown experiment kind {spec.kind!r}; known: {sorted(_CELL_KINDS)}"
         )
     return func(spec)
+
+
+def _build_graph(key: GraphKey) -> None:
+    """Pool task: load or build one graph into the store and this worker's memo."""
+    compiled_sim_cache(*key)
 
 
 def _run_cell_timed(spec: ExperimentSpec, key: Optional[str]) -> Tuple[Any, float]:
@@ -467,6 +556,12 @@ class ExperimentEngine:
     ``cells_computed`` / ``cells_cached`` counters and the per-call
     ``last_stats`` expose the split — the warm-cache tests pin
     ``cells_computed == 0`` on a second run.
+
+    The engine forks its process pool at its first parallel :meth:`map` and
+    reuses it for every later one, so a run's grids share workers and the
+    graphs those workers hold.  :meth:`close` (or leaving a ``with engine:``
+    block) shuts the pool down; an engine dropped without either shuts it
+    down when it is collected, and waits for the workers to exit.
     """
 
     def __init__(
@@ -492,13 +587,33 @@ class ExperimentEngine:
         #: The tracer resolved by the most recent :meth:`map` call (``None``
         #: when ``REPRO_TRACE`` is off); ``_record`` reuses it for put spans.
         self._tracer = active_tracer(store.root if store is not None else None)
+        #: The worker pool (see :meth:`_pool_for`), the (workers, graph-cache
+        #: enabled, root) it was forked with, and the finalizer that shuts it down.
+        self._pool: Optional[Any] = None
+        self._pool_config: Optional[Tuple[int, bool, str]] = None
+        self._shutdown: Optional[weakref.finalize] = None
+
+    def close(self) -> None:
+        """Shut the worker pool down and wait for its workers to exit.
+
+        Idempotent; a later parallel :meth:`map` forks a new pool.
+        """
+        if self._shutdown is not None:
+            self._shutdown()
+        self._pool = self._pool_config = self._shutdown = None
+
+    def __enter__(self) -> "ExperimentEngine":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def map(self, specs: Sequence[ExperimentSpec]) -> List[Any]:
         """Run every cell and return their payloads in spec order.
 
-        With ``parallelism > 1`` the cache misses are distributed over a
-        process pool; results are re-assembled in submission order, so
-        callers see the same sequence for any parallelism and any cache
+        With ``parallelism > 1`` the cache misses are distributed over the
+        engine's process pool; results are re-assembled in submission order,
+        so callers see the same sequence for any parallelism and any cache
         temperature.
         """
         specs = list(specs)
@@ -548,30 +663,93 @@ class ExperimentEngine:
                         elapsed = time.perf_counter() - t0
                     self._record(specs[i], payloads[i], i, total, elapsed)
             else:
-                # Imported here, not at module top: single-worker runs (most CLI
-                # invocations after the engine decides serially) never pay the
-                # concurrent.futures/multiprocessing import.
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_pool_worker_init,
-                    initargs=(graph_cache_enabled(), graph_cache_root()),
-                ) as pool:
-                    # Per-cell wall time is measured inside each worker (the
-                    # parent can't observe it — cells overlap across workers),
-                    # so records carry the true in-process compute cost.
-                    for i, (payload, elapsed) in zip(
-                        missing,
-                        pool.map(_run_cell_timed, [specs[i] for i in missing], keys),
-                    ):
-                        payloads[i] = payload
-                        self._record(specs[i], payload, i, total, elapsed)
+                self._map_pooled(specs, list(zip(missing, keys)), payloads, workers)
 
             map_span.set(computed=len(missing), cached=total - len(missing))
 
         self.last_stats = (len(missing), total - len(missing))
         return payloads
+
+    def _map_pooled(
+        self,
+        specs: List[ExperimentSpec],
+        todo: List[Tuple[int, Optional[str]]],
+        payloads: List[Any],
+        workers: int,
+    ) -> None:
+        """Compute the ``(index, key)`` cells of ``todo`` on the pool, in order.
+
+        The graphs the cells declare that the compiled-graph store lacks are
+        built first, one pool task each, so no two workers build one graph.
+        A pool that broke (a worker died) is replaced and the cells not yet
+        recorded are resubmitted once: a cell is a pure function of its spec,
+        and only the parent records results.
+        """
+        # Imported here, not at module top: single-worker runs (most CLI
+        # invocations after the engine decides serially) never pay the
+        # concurrent.futures/multiprocessing import.
+        from concurrent.futures.process import BrokenProcessPool
+
+        total = len(payloads)
+        retried = False
+        while True:
+            pool = self._pool_for(workers)
+            cells = [specs[i] for i, _ in todo]
+            done = 0
+            try:
+                list(pool.map(_build_graph, self._missing_graphs(cells)))
+                # Per-cell wall time is measured inside each worker (the
+                # parent can't observe it — cells overlap across workers),
+                # so records carry the true in-process compute cost.
+                results = pool.map(_run_cell_timed, cells, [key for _, key in todo])
+                for (i, _), (payload, elapsed) in zip(todo, results):
+                    payloads[i] = payload
+                    self._record(specs[i], payload, i, total, elapsed)
+                    done += 1
+                return
+            except BrokenProcessPool:
+                if retried:
+                    raise
+                retried = True
+                self.close()
+                todo = todo[done:]
+
+    def _pool_for(self, workers: int) -> Any:
+        """The engine's process pool, forked on first use and then kept.
+
+        A pool forked under another compiled-graph cache configuration, or
+        with fewer workers than this map can use, is replaced; workers map
+        the store the parent names when they start.
+        """
+        enabled, root = graph_cache_enabled(), graph_cache_root()
+        config = self._pool_config
+        if config is not None and (config[1:] != (enabled, root) or config[0] < workers):
+            self.close()
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_pool_worker_init,
+                initargs=(enabled, root),
+            )
+            self._pool, self._pool_config = pool, (workers, enabled, root)
+            # An engine dropped without close() still reaps its workers:
+            # RUSAGE_CHILDREN, for one, counts only reaped children.
+            self._shutdown = weakref.finalize(self, pool.shutdown)
+        return self._pool
+
+    def _missing_graphs(self, specs: Sequence[ExperimentSpec]) -> List[GraphKey]:
+        """The declared graphs of ``specs`` that the compiled-graph store lacks.
+
+        Without the store (the library default) one worker's build cannot
+        serve another, so nothing is built ahead.
+        """
+        if not graph_cache_enabled():
+            return []
+        store = CompiledGraphStore(graph_cache_root())
+        wanted = dict.fromkeys(key for spec in specs for key in spec_graphs(spec))
+        return [key for key in wanted if not store.contains(*key)]
 
     def _record(
         self,

@@ -45,7 +45,15 @@ from repro.runtime.graph import TaskGraph
 from repro.runtime.task import TaskDescriptor
 
 #: Bump when the compiled array layout changes (hashed into every store key).
-COMPILED_FORMAT: int = 1
+#: Format 2 aligns every member's array data to :data:`NPZ_ALIGN` bytes.
+COMPILED_FORMAT: int = 2
+
+#: Alignment of every ``.npy`` member written by :func:`write_npz_deterministic`.
+NPZ_ALIGN: int = 64
+
+#: Zip extra-field id of the alignment padding record (the id Android's
+#: ``zipalign`` uses; zip readers skip extra fields they do not know).
+_ALIGN_EXTRA_ID: int = 0xD935
 
 #: Environment variable toggling the on-disk compiled-graph cache
 #: ("0"/"false"/"no" disable it; the CLI enables it by default).
@@ -368,6 +376,11 @@ def write_npz_deterministic(fh, arrays: Dict[str, np.ndarray]) -> None:
     of its contents — which is what lets the determinism suite compare store
     files byte for byte across processes.  The layout (``ZIP_STORED`` ``.npy``
     members) is exactly what :func:`load_npz_arrays` memory-maps.
+
+    Each member's local header carries an extra-field record padded so the
+    member starts at a multiple of :data:`NPZ_ALIGN` bytes; numpy pads the
+    ``.npy`` header to 64 bytes, so every array's data is aligned too and the
+    C kernel can read memory-mapped members in place.
     """
     with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
         for name, arr in arrays.items():
@@ -375,9 +388,16 @@ def write_npz_deterministic(fh, arrays: Dict[str, np.ndarray]) -> None:
             np.lib.format.write_array(
                 buf, np.ascontiguousarray(arr), allow_pickle=False
             )
+            data = buf.getvalue()
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             info.compress_type = zipfile.ZIP_STORED
-            zf.writestr(info, buf.getvalue())
+            # Local header: 30 fixed bytes, the name, a 4-byte extra record
+            # header, the padding, and a 20-byte zip64 record for big members.
+            zip64 = len(data) * 1.05 > zipfile.ZIP64_LIMIT
+            used = 30 + len(info.filename.encode("utf-8")) + 4 + (20 if zip64 else 0)
+            pad = -(zf.fp.tell() + used) % NPZ_ALIGN
+            info.extra = struct.pack("<HH", _ALIGN_EXTRA_ID, pad) + b"\0" * pad
+            zf.writestr(info, data)
 
 
 # ---------------------------------------------------------------------------------

@@ -357,7 +357,11 @@ def _replay_kernel_batch(
     static = cache.static_np()
     node_of = cache.node_map_np(n_nodes)
     flags = cache.replicated_flags_np(config)
-    arrays = replay + static + (node_of, flags)
+    # The kernel reads i64/double through typed pointers: hand it aligned,
+    # C-contiguous arrays (a no-op for store-loaded and freshly built ones).
+    arrays = tuple(
+        np.require(a, requirements="CA") for a in replay + static + (node_of, flags)
+    )
 
     n_replicated = int(flags.sum())
     draws = _max_draws(n_replicated, n - n_replicated, config)

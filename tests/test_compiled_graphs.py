@@ -169,6 +169,19 @@ class TestStoreRoundTrip:
         nonempty = [f for f in ARRAY_FIELDS if getattr(loaded, f).size]
         assert set(nonempty) <= set(mapped)
 
+    def test_loaded_members_are_aligned(self, graphs, tmp_path):
+        """Every memory-mapped member starts on a 64-byte boundary, so the C
+        kernel reads the store's i64/double arrays aligned."""
+        store = CompiledGraphStore(str(tmp_path))
+        for name, graph in graphs.items():
+            store.save(name, SCALE, compile_graph(graph))
+            loaded = store.load(name, SCALE)
+            for f in ARRAY_FIELDS:
+                arr = getattr(loaded, f)
+                if arr.size:
+                    assert isinstance(arr, np.memmap), (name, f)
+                    assert arr.ctypes.data % 64 == 0, (name, f)
+
     def test_mmap_disabled_still_loads(self, graphs, tmp_path):
         store = CompiledGraphStore(str(tmp_path))
         compiled = compile_graph(graphs["stream"])

@@ -42,12 +42,18 @@ def _fresh_memo():
 
 
 @pytest.mark.slow
-def test_report_reproduces_committed_goldens(tmp_path):
-    """run (cold) then report --strict (warm): both match the goldens exactly."""
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_report_reproduces_committed_goldens(tmp_path, parallelism):
+    """run (cold) then report --strict (warm): both match the goldens exactly.
+
+    Run serially and on a 2-worker pool, which builds each graph once ahead
+    of the cells that read it.
+    """
     out = str(tmp_path / "out")
     cache = str(tmp_path / "cache")
     names = [t for t, _ in CHEAP_TARGETS]
-    assert main(["run", *names, "--scale", GOLDEN_SCALE, "--out", out, "--cache-dir", cache, "-q"]) == 0
+    assert main(["run", *names, "--scale", GOLDEN_SCALE, "--out", out, "--cache-dir", cache,
+                 "--parallelism", parallelism, "-q"]) == 0
 
     rep = str(tmp_path / "report")
     assert (

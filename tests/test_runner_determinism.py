@@ -16,6 +16,8 @@ from repro.analysis.experiments import (
 from repro.analysis.runner import (
     ExperimentEngine,
     benchmark_graph,
+    clear_caches,
+    configure_graph_cache,
     derive_seed,
     make_spec,
     run_cell,
@@ -86,6 +88,41 @@ class TestParallelismIndependence:
         pooled = figure3_appfit(parallelism=2, **kwargs)
         assert pooled.rows == serial.rows
         assert pooled.averages == serial.averages
+
+    @pytest.mark.parametrize(
+        "driver, kwargs",
+        [
+            (
+                figure3_appfit,
+                dict(scale=SCALE, multipliers=(10.0, 5.0), benchmarks=("cholesky", "fft")),
+            ),
+            (
+                figure6_scalability_distributed,
+                dict(
+                    scale=SCALE,
+                    node_counts=(4, 16),
+                    fault_rates=(0.0, 0.01),
+                    benchmarks=("nbody", "pingpong"),
+                    seed=3,
+                ),
+            ),
+        ],
+        ids=["fig3", "fig6"],
+    )
+    def test_pooled_rows_identical_with_graph_cache(self, tmp_path, driver, kwargs):
+        """With the compiled-graph store on, a pooled map builds its graphs
+        first, one pool task each; rows still equal the serial run's.  Each
+        run starts from an empty store root."""
+        try:
+            configure_graph_cache(enabled=True, root=str(tmp_path / "serial"))
+            serial = driver(parallelism=1, **kwargs)
+            clear_caches()
+            configure_graph_cache(enabled=True, root=str(tmp_path / "pooled"))
+            pooled = driver(parallelism=2, **kwargs)
+        finally:
+            configure_graph_cache(enabled=None, root=None)
+            clear_caches()
+        assert pooled.rows == serial.rows
 
     def test_repeated_runs_identical(self):
         kwargs = dict(

@@ -11,6 +11,7 @@ which exercises the experiment engine's fast/reference duality end to end.
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
@@ -33,7 +34,12 @@ from repro.core.vectorized import (
 )
 from repro.faults.model import FailureModel
 from repro.faults.rates import FitRateSpec
-from repro.runtime.compiled import compile_graph
+from repro.runtime.compiled import (
+    ARRAY_FIELDS,
+    CompiledGraph,
+    CompiledGraphStore,
+    compile_graph,
+)
 from repro.simulator.backend import BackendUnavailable, resolve_backend
 from repro.simulator.execution import SimulationConfig, simulate_graph
 from repro.simulator.fastpath import (
@@ -282,6 +288,14 @@ SYNTHETIC_FAMILIES = tuple(n for n in family_names() if n != "trace")
 _BATCH_SEEDS = [0, 7, 123, 2**31 + 5]
 
 
+def _one_byte_in(arr: np.ndarray) -> np.ndarray:
+    """A copy of ``arr`` whose data starts one byte into its buffer."""
+    buf = bytearray(arr.nbytes + 1)
+    out = np.frombuffer(buf, dtype=arr.dtype, count=arr.size, offset=1)
+    out[...] = arr.ravel()
+    return out.reshape(arr.shape)
+
+
 @pytest.fixture(scope="module")
 def family_graphs():
     """One small graph per synthetic workload family, default parameters."""
@@ -388,6 +402,41 @@ class TestBatchedSimulation:
             self._assert_lanes_match_scalar(
                 cache, machine, config, _BATCH_SEEDS, backend=backend
             )
+
+    def test_store_loaded_graph(self, graphs, tmp_path):
+        """A graph memory-mapped from the compiled-graph store replays like
+        an in-memory one.  The sanitizer CI step runs this class, so this is
+        its store round trip: the kernel reads the mapped arrays in place."""
+        store = CompiledGraphStore(str(tmp_path))
+        store.save("cholesky", SCALE, compile_graph(graphs["cholesky"]))
+        cache = SimGraphCache.from_compiled(store.load("cholesky", SCALE))
+        assert isinstance(cache.compiled.succ_indices, np.memmap)
+        config = SimulationConfig(
+            replicate_all=True, crash_probability=0.05, sdc_probability=0.02, seed=0
+        )
+        for machine in (shared_memory_node(4), marenostrum_cluster(n_nodes=2)):
+            self._assert_lanes_match_scalar(cache, machine, config, _BATCH_SEEDS)
+
+    @pytest.mark.parametrize("backend", ["cext"])
+    def test_unaligned_arrays_replay_like_python(self, graphs, backend):
+        """Arrays that start one byte into their buffers (as unpadded store
+        members did) reach the kernel aligned, with the same results."""
+        _backend_or_skip(backend)
+        compiled = compile_graph(graphs["cholesky"])
+        shifted = CompiledGraph(
+            **{f: _one_byte_in(getattr(compiled, f)) for f in ARRAY_FIELDS}
+        )
+        cache = SimGraphCache.from_compiled(shifted)
+        assert not cache.static_np()[1].flags.aligned
+        config = SimulationConfig(
+            replicated_ids=set(graphs["cholesky"].task_ids()[::3]),
+            crash_probability=0.05,
+            sdc_probability=0.02,
+            seed=0,
+        )
+        self._assert_lanes_match_scalar(
+            cache, shared_memory_node(4), config, _BATCH_SEEDS, backend=backend
+        )
 
     @pytest.mark.parametrize("name", ["numba", "pykernel"])
     def test_retired_backend_names_raise(self, monkeypatch, name):
