@@ -14,7 +14,8 @@ Also provides the suite-wide test conveniences:
   count run the same code on a 1-core and a many-core machine;
 * hypothesis profiles — the default ``repro`` profile caps examples at 30,
   the ``quick`` profile (loaded automatically under ``-m quick``, or via
-  ``HYPOTHESIS_PROFILE=quick``) at 5.
+  ``HYPOTHESIS_PROFILE=quick``) at 5, and the ``nightly`` profile
+  (``HYPOTHESIS_PROFILE=nightly``, the nightly sanitizer step's) at 1,000.
 """
 
 import os
@@ -37,6 +38,12 @@ settings.register_profile(
 settings.register_profile(
     "quick",
     max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "nightly",
+    max_examples=1000,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

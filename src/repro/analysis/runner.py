@@ -343,15 +343,29 @@ def compiled_sim_cache(
     workers keep their memo for their engine's life; the
     :class:`ExperimentEngine` builds a map's missing store entries before it
     sends the cells that read them (see :func:`cell_kind`).
+
+    A memo miss canonicalises a workload name first, so the memo, the lock
+    and the store key every spelling of one workload on its canonical name:
+    it is built and stored once, and every spelling gets the same cache.
     """
     key = (name, scale, n_nodes)
     cache = _COMPILED_CACHE.get(key)
     if cache is None:
-        with _build_lock(key):
-            cache = _COMPILED_CACHE.get(key)
+        name = _canonical_name(name)
+        canonical_key = (name, scale, n_nodes)
+        with _build_lock(canonical_key):
+            cache = _COMPILED_CACHE.get(canonical_key)
             if cache is None:
-                cache = _COMPILED_CACHE[key] = _load_or_build(name, scale, n_nodes)
+                cache = _COMPILED_CACHE[canonical_key] = _load_or_build(name, scale, n_nodes)
+        _COMPILED_CACHE[key] = cache
     return cache
+
+
+def _canonical_name(name: str) -> str:
+    """The canonical spelling of a workload name; other names as given."""
+    from repro.workloads import canonical_workload_name, is_workload_name
+
+    return canonical_workload_name(name) if is_workload_name(name) else name
 
 
 def _load_or_build(name: str, scale: float, n_nodes: Optional[int]) -> SimGraphCache:

@@ -3,10 +3,10 @@
  * This is the C twin of the pure-Python loop in repro/simulator/fastpath.py:
  * one general multi-node event loop that also covers the single-node case.
  * Every float operation, comparison and event-ordering rule matches the
- * Python reference exactly:
+ * reference loop (repro/simulator/execution.py) exactly:
  *
  *  - events are ordered by (time, sequence number) — a total order, so any
- *    binary-heap layout pops the identical event sequence;
+ *    heap layout pops the identical event sequence;
  *  - all per-task float terms arrive pre-folded (the replay arrays built by
  *    SimGraphCache.replay_arrays with the reference association order); the
  *    loop only selects, adds and compares IEEE doubles in the same order the
@@ -14,6 +14,27 @@
  *  - fault Bernoullis are consumed from a pre-drawn uniform block (the same
  *    chunked generator sequence the Python loop buffers), with the identical
  *    conditional draw-cursor discipline.
+ *
+ * One event per core release.  The reference pushes up to three events when
+ * it starts a task, with consecutive sequence numbers: SPARE_FREE and FREE at
+ * now + core_busy, then COMPLETE at the finish time.  Events with equal times
+ * and consecutive sequence numbers always pop back to back, since nothing can
+ * sort between them, so this loop pushes them as one event whose kind is a
+ * set of flags: READY is 0; a release carries FREE, plus SPARE when the task
+ * took a spare, plus COMPLETE when finish == now + core_busy (exact double
+ * equality: every unreplicated task, and a replicated one that ran without a
+ * spare and needed no recovery).  Otherwise COMPLETE travels as its own event,
+ * pushed right after the release.  A popped release does what the reference
+ * does for the events it merges, in their order: release the spare, release
+ * the core and try_start the node, then release the successors.
+ *
+ * try_start runs only after READY and after a release.  After an event that
+ * only completes a task it cannot start anything: the node's last try_start
+ * left it with no free core or an empty ready queue, and a completion changes
+ * neither (successors enter a ready queue only when their READY event pops).
+ *
+ * So a task pushes at most three events — its READY, its release and a
+ * separate completion — and the event heap never holds more than 3n.
  *
  * Compiled with -ffp-contract=off so no multiply-add contraction can change
  * results (the loop performs no multiplications, but the flag makes the
@@ -26,11 +47,11 @@
 
 typedef long long i64;
 
-/* Event kinds, matching fastpath.py. */
+/* Event flags, matching fastpath.py; an event's tag is task << 3 | flags. */
 #define EV_READY 0
 #define EV_FREE 1
-#define EV_SPARE_FREE 2
-#define EV_COMPLETE 3
+#define EV_SPARE 2
+#define EV_COMPLETE 4
 
 /* Return codes. */
 #define OK 0
@@ -38,88 +59,90 @@ typedef long long i64;
 #define ERR_HEAP_OVERFLOW 2
 #define ERR_DRAWS_EXHAUSTED 3
 
+/* One fault Bernoulli off the lane's uniform block (exhausting the block
+ * is a draw-bound bug: fail the call). */
+#define DRAW(p, out) do { \
+        if (dpos >= n_uniforms) { rc = ERR_DRAWS_EXHAUSTED; goto done; } \
+        (out) = uniforms[dpos++] < (p); \
+    } while (0)
+
 /* ------------------------------------------------------------------ */
-/* (time, seq) binary min-heap with (kind, idx) payload.              */
+/* (time, seq) binary min-heap of flat events.  Sifts move a hole.     */
 
 typedef struct {
-    double *time;
-    i64 *seq;
-    int *kind;
-    i64 *idx;
+    double time;
+    i64 seq;
+    i64 tag;
+} Event;
+
+typedef struct {
+    Event *ev;
     i64 len;
     i64 cap;
 } Heap;
 
-static int heap_less(const Heap *h, i64 a, i64 b) {
-    if (h->time[a] < h->time[b]) return 1;
-    if (h->time[a] > h->time[b]) return 0;
-    return h->seq[a] < h->seq[b];
+static int ev_less(const Event *a, const Event *b) {
+    if (a->time < b->time) return 1;
+    if (a->time > b->time) return 0;
+    return a->seq < b->seq;
 }
 
-static void heap_swap(Heap *h, i64 a, i64 b) {
-    double t = h->time[a]; h->time[a] = h->time[b]; h->time[b] = t;
-    i64 s = h->seq[a]; h->seq[a] = h->seq[b]; h->seq[b] = s;
-    int k = h->kind[a]; h->kind[a] = h->kind[b]; h->kind[b] = k;
-    i64 i = h->idx[a]; h->idx[a] = h->idx[b]; h->idx[b] = i;
-}
-
-static int heap_push(Heap *h, double time, i64 seq, int kind, i64 idx) {
+static int heap_push(Heap *h, double time, i64 seq, i64 tag) {
     if (h->len >= h->cap) return 0;
+    Event e = {time, seq, tag};
     i64 pos = h->len++;
-    h->time[pos] = time; h->seq[pos] = seq; h->kind[pos] = kind; h->idx[pos] = idx;
     while (pos > 0) {
         i64 parent = (pos - 1) / 2;
-        if (!heap_less(h, pos, parent)) break;
-        heap_swap(h, pos, parent);
+        if (!ev_less(&e, &h->ev[parent])) break;
+        h->ev[pos] = h->ev[parent];
         pos = parent;
     }
+    h->ev[pos] = e;
     return 1;
 }
 
-static void heap_pop(Heap *h, double *time, int *kind, i64 *idx) {
-    *time = h->time[0]; *kind = h->kind[0]; *idx = h->idx[0];
-    h->len--;
-    if (h->len == 0) return;
-    h->time[0] = h->time[h->len]; h->seq[0] = h->seq[h->len];
-    h->kind[0] = h->kind[h->len]; h->idx[0] = h->idx[h->len];
-    i64 pos = 0;
-    for (;;) {
-        i64 left = 2 * pos + 1, right = left + 1, best = pos;
-        if (left < h->len && heap_less(h, left, best)) best = left;
-        if (right < h->len && heap_less(h, right, best)) best = right;
-        if (best == pos) break;
-        heap_swap(h, pos, best);
-        pos = best;
+static Event heap_pop(Heap *h) {
+    Event top = h->ev[0];
+    i64 len = --h->len;
+    if (len == 0) return top;
+    Event last = h->ev[len];
+    i64 pos = 0, child;
+    while ((child = 2 * pos + 1) < len) {
+        if (child + 1 < len && ev_less(&h->ev[child + 1], &h->ev[child])) child++;
+        if (!ev_less(&h->ev[child], &last)) break;
+        h->ev[pos] = h->ev[child];
+        pos = child;
     }
+    h->ev[pos] = last;
+    return top;
 }
 
 /* Plain int min-heap (the per-node ready queues hold dense task indices). */
 
 static void iheap_push(i64 *heap, i64 *len, i64 value) {
     i64 pos = (*len)++;
-    heap[pos] = value;
     while (pos > 0) {
         i64 parent = (pos - 1) / 2;
-        if (heap[pos] >= heap[parent]) break;
-        i64 t = heap[pos]; heap[pos] = heap[parent]; heap[parent] = t;
+        if (heap[parent] <= value) break;
+        heap[pos] = heap[parent];
         pos = parent;
     }
+    heap[pos] = value;
 }
 
 static i64 iheap_pop(i64 *heap, i64 *len) {
     i64 top = heap[0];
-    (*len)--;
-    if (*len == 0) return top;
-    heap[0] = heap[*len];
-    i64 pos = 0;
-    for (;;) {
-        i64 left = 2 * pos + 1, right = left + 1, best = pos;
-        if (left < *len && heap[left] < heap[best]) best = left;
-        if (right < *len && heap[right] < heap[best]) best = right;
-        if (best == pos) break;
-        i64 t = heap[pos]; heap[pos] = heap[best]; heap[best] = t;
-        pos = best;
+    i64 n = --(*len);
+    if (n == 0) return top;
+    i64 last = heap[n];
+    i64 pos = 0, child;
+    while ((child = 2 * pos + 1) < n) {
+        if (child + 1 < n && heap[child + 1] < heap[child]) child++;
+        if (heap[child] >= last) break;
+        heap[pos] = heap[child];
+        pos = child;
     }
+    heap[pos] = last;
     return top;
 }
 
@@ -156,13 +179,12 @@ int simulate_kernel(
     double total_overhead = 0.0, total_recovery = 0.0, total_work = 0.0;
     double makespan = 0.0;
 
-    /* Workspace. */
+    /* Workspace.  The event heap never holds more than 3n events (see the
+     * header; + 1 keeps an empty graph's allocation nonzero): its overflow
+     * check only guards against kernel bugs. */
     Heap heap;
-    heap.cap = 4 * n + 8;
-    heap.time = (double *)malloc((size_t)heap.cap * sizeof(double));
-    heap.seq = (i64 *)malloc((size_t)heap.cap * sizeof(i64));
-    heap.kind = (int *)malloc((size_t)heap.cap * sizeof(int));
-    heap.idx = (i64 *)malloc((size_t)heap.cap * sizeof(i64));
+    heap.cap = 3 * n + 1;
+    heap.ev = (Event *)malloc((size_t)heap.cap * sizeof(Event));
     heap.len = 0;
     i64 *pending = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
     double *earliest = (double *)malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
@@ -176,9 +198,8 @@ int simulate_kernel(
     i64 *ready_len = (i64 *)malloc((size_t)n_nodes * sizeof(i64));
     i64 *ready = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
 
-    if (!heap.time || !heap.seq || !heap.kind || !heap.idx || !pending ||
-        !earliest || !free_cores || !free_spares || !node_mem || !node_count ||
-        !ready_off || !ready_len || !ready) {
+    if (!heap.ev || !pending || !earliest || !free_cores || !free_spares ||
+        !node_mem || !node_count || !ready_off || !ready_len || !ready) {
         rc = ERR_ALLOC;
         goto done;
     }
@@ -202,25 +223,102 @@ int simulate_kernel(
     i64 seq = 0;
     for (i64 i = 0; i < n; i++) {
         if (pending[i] == 0) {
-            if (!heap_push(&heap, 0.0, seq, EV_READY, i)) { rc = ERR_HEAP_OVERFLOW; goto done; }
-            seq++;
+            if (!heap_push(&heap, 0.0, seq++, i << 3 | EV_READY)) { rc = ERR_HEAP_OVERFLOW; goto done; }
         }
     }
 
     while (heap.len > 0) {
-        double now;
-        int kind;
-        i64 i;
-        heap_pop(&heap, &now, &kind, &i);
+        Event ev = heap_pop(&heap);
+        double now = ev.time;
+        i64 i = ev.tag >> 3;
+        int flags = (int)(ev.tag & 7);
         i64 nid = node_of[i];
-        if (kind == EV_READY) {
+        if (flags == EV_READY) {
             iheap_push(ready + ready_off[nid], &ready_len[nid], i);
-        } else if (kind == EV_FREE) {
+        } else if (flags & EV_FREE) {
+            if (flags & EV_SPARE) free_spares[nid]++;
             free_cores[nid]++;
-        } else if (kind == EV_SPARE_FREE) {
-            free_spares[nid]++;
-            continue;
-        } else { /* EV_COMPLETE */
+        }
+
+        /* try_start(nid): drain the node's ready heap while cores are free. */
+        while (flags != EV_COMPLETE && free_cores[nid] > 0 && ready_len[nid] > 0) {
+            i64 t = iheap_pop(ready + ready_off[nid], &ready_len[nid]);
+            free_cores[nid]--;
+            int use_spare = 0;
+            int crash0, crash1 = 0, sdc0, sdc1 = 0;
+            double core_busy, completion, recovery, overhead;
+            if (is_replicated[t]) {
+                replicated_count++;
+                if (free_spares[nid] > 0) {
+                    free_spares[nid]--;
+                    use_spare = 1;
+                    core_busy = rep_core_busy[t];
+                    completion = completion_spare[t];
+                } else {
+                    core_busy = core_busy_nospare[t];
+                    completion = completion_nospare[t];
+                }
+                crash0 = crash1 = crash_hi;
+                if (crash_mid) { DRAW(p_crash, crash0); DRAW(p_crash, crash1); }
+                sdc0 = !crash0 && sdc_hi;
+                sdc1 = !crash1 && sdc_hi;
+                if (sdc_mid && !crash0) DRAW(p_sdc, sdc0);
+                if (sdc_mid && !crash1) DRAW(p_sdc, sdc1);
+                crashes += crash0 + crash1;
+                sdcs += sdc0 + sdc1;
+                if (crash0 && crash1) {
+                    recovery = restore_dur[t];
+                    completion += recovery;
+                    total_recovery += recovery;
+                } else if ((sdc0 != sdc1) && !(crash0 || crash1)) {
+                    recovery = restore_dur_vote[t];
+                    completion += recovery;
+                    total_recovery += recovery;
+                } else {
+                    recovery = 0.0;
+                }
+                overhead = overhead_rep[t];
+            } else {
+                crash0 = crash_hi;
+                if (crash_mid) DRAW(p_crash, crash0);
+                sdc0 = !crash0 && sdc_hi;
+                if (sdc_mid && !crash0) DRAW(p_sdc, sdc0);
+                crashes += crash0;
+                sdcs += sdc0;
+                if (crash0) {
+                    recovery = dur[t];
+                    core_busy = core_busy0[t] + recovery;
+                    total_recovery += recovery;
+                } else {
+                    recovery = 0.0;
+                    core_busy = core_busy0[t];
+                }
+                completion = core_busy;
+                overhead = decision_s;
+            }
+
+            total_overhead += overhead;
+            total_work += dur[t];
+            if (contention) node_mem[nid] += mem[t];
+            double finish = now + completion;
+            if (finish > makespan) makespan = finish;
+            if (collect) {
+                start_at[t] = now;
+                finish_at[t] = finish;
+                overhead_at[t] = overhead;
+                recovery_at[t] = recovery;
+            }
+            n_started++;
+            double release = now + core_busy;
+            i64 tag = t << 3 | EV_FREE | (use_spare ? EV_SPARE : 0);
+            if (finish == release) tag |= EV_COMPLETE;
+            if (!heap_push(&heap, release, seq++, tag)) { rc = ERR_HEAP_OVERFLOW; goto done; }
+            if (finish != release) {
+                if (!heap_push(&heap, finish, seq++, t << 3 | EV_COMPLETE)) { rc = ERR_HEAP_OVERFLOW; goto done; }
+            }
+        }
+
+        if (flags & EV_COMPLETE) {
             for (i64 k = succ_indptr[i]; k < succ_indptr[i + 1]; k++) {
                 i64 s = succ_indices[k];
                 double delay = 0.0;
@@ -232,121 +330,9 @@ int simulate_kernel(
                 pending[s]--;
                 if (pending[s] == 0) {
                     double at = now > earliest[s] ? now : earliest[s];
-                    if (!heap_push(&heap, at, seq, EV_READY, s)) { rc = ERR_HEAP_OVERFLOW; goto done; }
-                    seq++;
+                    if (!heap_push(&heap, at, seq++, s << 3 | EV_READY)) { rc = ERR_HEAP_OVERFLOW; goto done; }
                 }
             }
-        }
-
-        /* try_start(nid): drain the node's ready heap while cores are free. */
-        while (free_cores[nid] > 0 && ready_len[nid] > 0) {
-            i = iheap_pop(ready + ready_off[nid], &ready_len[nid]);
-            free_cores[nid]--;
-            int use_spare = 0;
-            int crash0, crash1 = 0, sdc0, sdc1 = 0;
-            double core_busy, completion, recovery, overhead;
-            if (is_replicated[i]) {
-                replicated_count++;
-                if (free_spares[nid] > 0) {
-                    free_spares[nid]--;
-                    use_spare = 1;
-                    core_busy = rep_core_busy[i];
-                    completion = completion_spare[i];
-                } else {
-                    core_busy = core_busy_nospare[i];
-                    completion = completion_nospare[i];
-                }
-                if (crash_mid) {
-                    if (dpos + 2 > n_uniforms) { rc = ERR_DRAWS_EXHAUSTED; goto done; }
-                    crash0 = uniforms[dpos++] < p_crash;
-                    crash1 = uniforms[dpos++] < p_crash;
-                } else {
-                    crash0 = crash1 = crash_hi;
-                }
-                if (sdc_mid) {
-                    if (crash0) {
-                        sdc0 = 0;
-                    } else {
-                        if (dpos >= n_uniforms) { rc = ERR_DRAWS_EXHAUSTED; goto done; }
-                        sdc0 = uniforms[dpos++] < p_sdc;
-                    }
-                    if (crash1) {
-                        sdc1 = 0;
-                    } else {
-                        if (dpos >= n_uniforms) { rc = ERR_DRAWS_EXHAUSTED; goto done; }
-                        sdc1 = uniforms[dpos++] < p_sdc;
-                    }
-                } else {
-                    sdc0 = (!crash0) && sdc_hi;
-                    sdc1 = (!crash1) && sdc_hi;
-                }
-                crashes += crash0 + crash1;
-                sdcs += sdc0 + sdc1;
-                if (crash0 && crash1) {
-                    recovery = restore_dur[i];
-                    completion += recovery;
-                    total_recovery += recovery;
-                } else if ((sdc0 != sdc1) && !(crash0 || crash1)) {
-                    recovery = restore_dur_vote[i];
-                    completion += recovery;
-                    total_recovery += recovery;
-                } else {
-                    recovery = 0.0;
-                }
-                overhead = overhead_rep[i];
-            } else {
-                if (crash_mid) {
-                    if (dpos >= n_uniforms) { rc = ERR_DRAWS_EXHAUSTED; goto done; }
-                    crash0 = uniforms[dpos++] < p_crash;
-                } else {
-                    crash0 = crash_hi;
-                }
-                if (sdc_mid) {
-                    if (crash0) {
-                        sdc0 = 0;
-                    } else {
-                        if (dpos >= n_uniforms) { rc = ERR_DRAWS_EXHAUSTED; goto done; }
-                        sdc0 = uniforms[dpos++] < p_sdc;
-                    }
-                } else {
-                    sdc0 = (!crash0) && sdc_hi;
-                }
-                crashes += crash0;
-                sdcs += sdc0;
-                if (crash0) {
-                    recovery = dur[i];
-                    core_busy = core_busy0[i] + recovery;
-                    total_recovery += recovery;
-                } else {
-                    recovery = 0.0;
-                    core_busy = core_busy0[i];
-                }
-                completion = core_busy;
-                overhead = decision_s;
-            }
-
-            total_overhead += overhead;
-            total_work += dur[i];
-            if (contention) node_mem[nid] += mem[i];
-            double finish = now + completion;
-            if (finish > makespan) makespan = finish;
-            if (collect) {
-                start_at[i] = now;
-                finish_at[i] = finish;
-                overhead_at[i] = overhead;
-                recovery_at[i] = recovery;
-            }
-            n_started++;
-            /* Spare release precedes core release at equal timestamps, as in
-             * the reference loop. */
-            if (use_spare) {
-                if (!heap_push(&heap, now + core_busy, seq, EV_SPARE_FREE, i)) { rc = ERR_HEAP_OVERFLOW; goto done; }
-                seq++;
-            }
-            if (!heap_push(&heap, now + core_busy, seq, EV_FREE, i)) { rc = ERR_HEAP_OVERFLOW; goto done; }
-            seq++;
-            if (!heap_push(&heap, finish, seq, EV_COMPLETE, i)) { rc = ERR_HEAP_OVERFLOW; goto done; }
-            seq++;
         }
     }
 
@@ -366,7 +352,7 @@ int simulate_kernel(
     out_counts[4] = dpos;
 
 done:
-    free(heap.time); free(heap.seq); free(heap.kind); free(heap.idx);
+    free(heap.ev);
     free(pending); free(earliest); free(free_cores); free(free_spares);
     free(node_mem); free(node_count); free(ready_off); free(ready_len); free(ready);
     return rc;

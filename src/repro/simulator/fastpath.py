@@ -25,10 +25,12 @@ fault rate and machine size — so this module splits the work:
 
 Every arithmetic expression mirrors the reference loop operation for
 operation (the replay terms are built with the same association order the
-scalar code uses), and events are pushed in the same order with the same FIFO
-tie-breaking, so the fast path is bit-identical to the reference — which the
-equivalence test suite asserts.  Use ``fast=False`` (or the benchmark
-harness's ``--reference`` flag) to fall back to the reference implementation.
+scalar code uses), and events pop in the reference's (time, sequence number)
+order — a task's spare release, core release and same-time completion travel
+as one event, since nothing can sort between them — so the fast path is
+bit-identical to the reference, which the equivalence test suite asserts.
+Use ``fast=False`` (or the benchmark harness's ``--reference`` flag) to fall
+back to the reference implementation.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ from repro.simulator.execution import (
 )
 from repro.simulator.machine import MachineSpec
 
-#: Event kinds of the flat loop (values never compared — the heap tuples are
-#: ordered by (time, sequence number) alone, as in the reference EventQueue).
-_READY, _FREE, _SPARE_FREE, _COMPLETE = 0, 1, 2, 3
+#: Event flags of the flat loop, as in ``_simkernel.c`` (whose header explains
+#: why one event may carry ``_FREE | _SPARE | _COMPLETE``).  The heap tuples
+#: are ordered by (time, sequence number) alone, as in the reference EventQueue.
+_READY, _FREE, _SPARE, _COMPLETE = 0, 1, 2, 4
 
 #: Uniform draws are buffered in chunks of this size.  ``Generator.random(n)``
 #: consumes the identical double sequence as ``n`` successive
@@ -620,34 +623,18 @@ def _simulate_python(
             nid = node_of[i]
             if kind == _READY:
                 heappush(node_ready[nid], i)
-            elif kind == _FREE:
+            elif kind & _FREE:
+                if kind & _SPARE:
+                    free_spares[nid] += 1
                 free_cores[nid] += 1
-            elif kind == _SPARE_FREE:
-                free_spares[nid] += 1
-                continue
-            else:  # _COMPLETE
-                elo = succ_ptr[i]
-                ehi = succ_ptr[i + 1]
-                for s, eb in zip(succ_idx[elo:ehi].tolist(), succ_ebs[elo:ehi].tolist()):
-                    delay = 0.0
-                    if node_of[s] != nid:
-                        delay = net_latency + eb / net_bandwidth
-                    arrival = now + delay
-                    e = earliest[s]
-                    if arrival > e:
-                        earliest[s] = e = arrival
-                    left = pending[s] - 1
-                    pending[s] = left
-                    if left == 0:
-                        heappush(heap, (now if now > e else e, seq, _READY, s))
-                        seq += 1
 
-            # try_start(nid): drain the node's ready heap while cores are free.
+            # try_start(nid): drain the node's ready heap while cores are free
+            # (a lone completion cannot start anything: see _simkernel.c).
             ready = node_ready[nid]
-            while free_cores[nid] > 0 and ready:
-                i = heappop(ready)
+            while kind != _COMPLETE and free_cores[nid] > 0 and ready:
+                t = heappop(ready)
                 free_cores[nid] -= 1
-                b = i // chunk
+                b = t // chunk
                 if b != cur:
                     cur = b
                     lo = b * chunk
@@ -663,16 +650,16 @@ def _simulate_python(
                         restore_dur,
                         restore_dur_vote,
                     ) = chunk_terms(cur)
-                k = i - lo
-                if flags[i]:
+                k = t - lo
+                if flags[t]:
                     replicated_count += 1
                     if free_spares[nid] > 0:
                         free_spares[nid] -= 1
-                        use_spare = True
+                        release_kind = _FREE | _SPARE
                         core_busy = rep_core_busy[k]
                         completion = completion_spare[k]
                     else:
-                        use_spare = False
+                        release_kind = _FREE
                         core_busy = core_busy_nospare[k]
                         completion = completion_nospare[k]
                     crash0 = draw() < p_crash if crash_mid else crash_hi
@@ -693,7 +680,7 @@ def _simulate_python(
                         recovery = 0.0
                     overhead = overhead_rep[k]
                 else:
-                    use_spare = False
+                    release_kind = _FREE
                     crash0 = draw() < p_crash if crash_mid else crash_hi
                     sdc0 = not crash0 and (draw() < p_sdc if sdc_mid else sdc_hi)
                     crashes += crash0
@@ -716,22 +703,39 @@ def _simulate_python(
                 if finish > makespan:
                     makespan = finish
                 if collect:
-                    start_at[i] = now
-                    finish_at[i] = finish
-                    overhead_at[i] = overhead
-                    recovery_at[i] = recovery
-                    dur_at[i] = dur[k]
+                    start_at[t] = now
+                    finish_at[t] = finish
+                    overhead_at[t] = overhead
+                    recovery_at[t] = recovery
+                    dur_at[t] = dur[k]
                 n_started += 1
-                # Spare release precedes core release at equal timestamps, as
-                # in the reference loop, so a task started by the freed core
-                # sees the spare available.
-                if use_spare:
-                    heappush(heap, (now + core_busy, seq, _SPARE_FREE, i))
+                # One event releases the spare, then the core, and completes
+                # the task too when it finishes at the release time.
+                release = now + core_busy
+                if finish == release:
+                    heappush(heap, (release, seq, release_kind | _COMPLETE, t))
+                else:
+                    heappush(heap, (release, seq, release_kind, t))
                     seq += 1
-                heappush(heap, (now + core_busy, seq, _FREE, i))
+                    heappush(heap, (finish, seq, _COMPLETE, t))
                 seq += 1
-                heappush(heap, (finish, seq, _COMPLETE, i))
-                seq += 1
+
+            if kind & _COMPLETE:
+                elo = succ_ptr[i]
+                ehi = succ_ptr[i + 1]
+                for s, eb in zip(succ_idx[elo:ehi].tolist(), succ_ebs[elo:ehi].tolist()):
+                    delay = 0.0
+                    if node_of[s] != nid:
+                        delay = net_latency + eb / net_bandwidth
+                    arrival = now + delay
+                    e = earliest[s]
+                    if arrival > e:
+                        earliest[s] = e = arrival
+                    left = pending[s] - 1
+                    pending[s] = left
+                    if left == 0:
+                        heappush(heap, (now if now > e else e, seq, _READY, s))
+                        seq += 1
 
     if collect:
         record_arrays: Optional[Tuple[List, ...]] = (

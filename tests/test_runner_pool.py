@@ -32,6 +32,8 @@ from repro.analysis.runner import (
 )
 from repro.cli import main
 from repro.obs.report import read_trace
+from repro.runtime.compiled import CompiledGraphStore
+from repro.workloads import canonical_workload_name
 
 SCALE = 0.05
 
@@ -169,6 +171,30 @@ def test_threads_missing_one_graph_share_one_build(tmp_path, monkeypatch):
     assert len(caches) == n_threads
     assert all(cache is caches[0] for cache in caches)
     assert len(compiles) == 1
+
+
+def test_every_spelling_of_a_workload_is_built_and_stored_once(tmp_path, monkeypatch):
+    """A non-canonical workload name generates its graph once, under the
+    canonical name, compiles no object graph, and gets the canonical name's
+    cache."""
+    configure_graph_cache(enabled=True, root=str(tmp_path))
+    compiles = []
+    real_compile = runner.compile_graph
+
+    def recording_compile(graph):
+        compiles.append(graph)
+        return real_compile(graph)
+
+    monkeypatch.setattr(runner, "compile_graph", recording_compile)
+    spelling = "layered:width=4,depth=6"
+    canonical = canonical_workload_name(spelling)
+    assert canonical != spelling
+    cache = compiled_sim_cache(spelling, 1.0)
+    assert compiles == []
+    assert [entry["benchmark"] for entry in CompiledGraphStore(str(tmp_path)).ls()] == [
+        canonical
+    ]
+    assert compiled_sim_cache(canonical, 1.0) is cache
 
 
 def test_cli_run_builds_each_graph_once_on_one_pool(tmp_path, monkeypatch):

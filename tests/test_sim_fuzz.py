@@ -1,21 +1,26 @@
 """Differential fuzzing of the simulator: every execution of the loop agrees.
 
-Hypothesis draws a small synthetic workload (one of the six families, every
-structural parameter at or above its ``Param.minimum``; the reference replays
-its object graph, the fast paths its direct compiled form), a machine (1-4
-nodes, 1-6 cores, 0-2 spares), crash and SDC probabilities (exactly 0,
-exactly 1, or in [0.001, 0.3]), a replicated subset (all tasks, none, or
-every k-th), memory contention on or off, and a seed.  Then these must all
-be equal, bit for bit and record for record:
+Hypothesis draws a graph, a machine (1-4 nodes, 1-6 cores, 0-2 spares),
+crash and SDC probabilities (exactly 0, exactly 1, or in [0.001, 0.3]), a
+replicated subset (all tasks, none, or every k-th), memory contention on or
+off, and a seed.  The graph is either a small synthetic workload (one of the
+six families, every structural parameter at or above its ``Param.minimum``)
+or a raw random DAG, imported as a JSON trace, whose two-valued durations and
+output sizes make many events share a timestamp, across nodes too.  The
+reference replays its object graph, the fast paths its direct compiled form.
+Then these must all be equal, bit for bit and record for record:
 
 * the reference loop, :func:`repro.simulator.execution.simulate_graph`;
 * the python backend's loop at chunk sizes 1, 7 and n;
 * every lane of a 3-seed ``cext`` batch.
 
-The default hypothesis profile runs 30 examples per test.
+The default hypothesis profile runs 30 examples per test, the nightly
+sanitizer step's ``nightly`` profile about 1,000.
 """
 
+import json
 import os
+import tempfile
 from dataclasses import replace
 from unittest import mock
 
@@ -57,8 +62,8 @@ def test_every_synthetic_family_is_fuzzed():
 
 
 @st.composite
-def _cases(draw):
-    """A (graph, compiled graph, machine, config); the config collects records."""
+def _family_graphs(draw):
+    """A synthetic workload's (object graph, compiled graph)."""
     family = draw(st.sampled_from(sorted(_STRUCTURE)))
     params = {name: draw(strategy) for name, strategy in _STRUCTURE[family].items()}
     params.update(
@@ -70,7 +75,38 @@ def _cases(draw):
         block_cv=draw(st.sampled_from([0.0, 0.5])),
     )
     spec = parse_workload(f"{family}:" + ",".join(f"{k}={v}" for k, v in params.items()))
-    graph = WorkloadBenchmark(spec, scale=1.0).build_graph()
+    return WorkloadBenchmark(spec, scale=1.0).build_graph(), generate_compiled(spec, 1.0)
+
+
+@st.composite
+def _raw_dags(draw):
+    """A random DAG's (object graph, compiled graph), through a JSON trace.
+
+    Task ``i`` depends on a random subset of the tasks before it.  Durations
+    of 1 or 2 ms and outputs of 4 or 8 KiB make events tie: equal work gives
+    equal release times, and equal bytes equal network delays.
+    """
+    tasks = [
+        {
+            "id": i,
+            "duration_s": draw(st.sampled_from([0.001, 0.002])),
+            "output_bytes": draw(st.sampled_from([4096, 8192])),
+            "deps": sorted(draw(st.sets(st.integers(0, i - 1), max_size=i))) if i else [],
+        }
+        for i in range(draw(st.integers(1, 40)))
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dag.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"name": "raw-dag", "tasks": tasks}, fh)
+        spec = parse_workload(f"trace:file={path}")
+        return WorkloadBenchmark(spec, scale=1.0).build_graph(), generate_compiled(spec, 1.0)
+
+
+@st.composite
+def _cases(draw, graphs=_family_graphs()):
+    """A (graph, compiled graph, machine, config); the config collects records."""
+    graph, compiled = draw(graphs)
     machine = MachineSpec(
         n_nodes=draw(st.integers(1, 4)),
         cores_per_node=draw(st.integers(1, 6)),
@@ -88,7 +124,7 @@ def _cases(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
         collect_records=True,
     )
-    return graph, generate_compiled(spec, 1.0), machine, config
+    return graph, compiled, machine, config
 
 
 def _assert_identical(got, ref, where):
@@ -109,8 +145,7 @@ def _cext_available():
     return True
 
 
-@given(_cases())
-def test_python_loop_matches_reference_at_every_chunk_size(case):
+def _check_python_loop(case):
     graph, compiled, machine, config = case
     ref = simulate_graph(graph, machine, config)
     for chunk in (1, 7, compiled.n):
@@ -121,9 +156,7 @@ def test_python_loop_matches_reference_at_every_chunk_size(case):
         _assert_identical(got, ref, (machine, config, chunk))
 
 
-@pytest.mark.skipif(not _cext_available(), reason="cext backend unavailable")
-@given(_cases(), st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3))
-def test_cext_lanes_match_reference(case, seeds):
+def _check_cext_lanes(case, seeds):
     graph, compiled, machine, config = case
     lanes = simulate_compiled_batch(
         SimGraphCache(compiled=compiled), machine, config, seeds=seeds, backend="cext"
@@ -131,3 +164,29 @@ def test_cext_lanes_match_reference(case, seeds):
     for seed, got in zip(seeds, lanes):
         ref = simulate_graph(graph, machine, replace(config, seed=seed))
         _assert_identical(got, ref, (machine, config, seed))
+
+
+_SEEDS = st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3)
+_needs_cext = pytest.mark.skipif(not _cext_available(), reason="cext backend unavailable")
+
+
+@given(_cases())
+def test_python_loop_matches_reference_at_every_chunk_size(case):
+    _check_python_loop(case)
+
+
+@_needs_cext
+@given(_cases(), _SEEDS)
+def test_cext_lanes_match_reference(case, seeds):
+    _check_cext_lanes(case, seeds)
+
+
+@given(_cases(_raw_dags()))
+def test_python_loop_matches_reference_on_raw_dags(case):
+    _check_python_loop(case)
+
+
+@_needs_cext
+@given(_cases(_raw_dags()), _SEEDS)
+def test_cext_lanes_match_reference_on_raw_dags(case, seeds):
+    _check_cext_lanes(case, seeds)

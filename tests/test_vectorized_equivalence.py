@@ -10,6 +10,7 @@ which exercises the experiment engine's fast/reference duality end to end.
 
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from repro.runtime.compiled import (
     CompiledGraphStore,
     compile_graph,
 )
+from repro.simulator import fastpath
 from repro.simulator.backend import BackendUnavailable, resolve_backend
 from repro.simulator.execution import SimulationConfig, simulate_graph
 from repro.simulator.fastpath import (
@@ -437,6 +439,27 @@ class TestBatchedSimulation:
         self._assert_lanes_match_scalar(
             cache, shared_memory_node(4), config, _BATCH_SEEDS, backend=backend
         )
+
+    @pytest.mark.parametrize("backend", ["cext"])
+    def test_exhausted_uniform_block_raises(self, graphs, backend):
+        """Kernel return code 3: a lane that runs out of pre-drawn uniforms
+        fails the batch, naming the cause, instead of reading past its row.
+        With the real draw bound the same batch replays like the python loop."""
+        _backend_or_skip(backend)
+        cache = SimGraphCache(graphs["cholesky"])
+        config = SimulationConfig(
+            replicated_ids=set(graphs["cholesky"].task_ids()[::3]),
+            crash_probability=0.05,
+            sdc_probability=0.02,
+            seed=0,
+        )
+        machine = shared_memory_node(4)
+        with mock.patch.object(fastpath, "_max_draws", return_value=8):
+            with pytest.raises(RuntimeError, match="pre-drawn uniform block exhausted"):
+                simulate_compiled_batch(
+                    cache, machine, config, seeds=_BATCH_SEEDS, backend=backend
+                )
+        self._assert_lanes_match_scalar(cache, machine, config, _BATCH_SEEDS, backend=backend)
 
     @pytest.mark.parametrize("name", ["numba", "pykernel"])
     def test_retired_backend_names_raise(self, monkeypatch, name):
