@@ -15,8 +15,13 @@ Two assertions:
   materialised replay-term arrays (~80 MiB at 10^6 tasks, plus records)
   would trip it.
 
-The measured record is printed (run with ``-s`` to see it), not written under
-``benchmarks/results/``: its timings change on every run.
+A second test runs a whole ``workload_sweep`` cell of every selection policy
+over a 10^6-task graph, also in a subprocess: the fast cells select on the
+compiled arrays alone, so no policy builds the object graph, and the run stays
+under the same ceiling.
+
+The measured records are printed (run with ``-s`` to see them), not written
+under ``benchmarks/results/``: their timings change on every run.
 """
 
 import json
@@ -74,10 +79,39 @@ finally:
 """
 
 
-def test_biggraph_generate_and_simulate_bounded_rss():
-    """10^6 tasks: direct-to-store generation + streaming replay, RSS-capped."""
-    width = max(int(round(N_TASKS ** 0.5)), 1)
-    depth = max((N_TASKS + width - 1) // width, 1)
+_SWEEP_CHILD = r"""
+import json, resource, sys, tempfile, shutil, time
+
+from repro.analysis.experiments import SWEEP_POLICIES, workload_sweep
+from repro.analysis.runner import configure_graph_cache
+
+root = tempfile.mkdtemp(prefix="repro-biggraph-sweep-")
+try:
+    configure_graph_cache(enabled=True, root=root)
+    t0 = time.perf_counter()
+    result = workload_sweep(
+        [f"layered:depth={sys.argv[1]},width={sys.argv[2]},seed=1"],
+        policies=SWEEP_POLICIES,
+        multipliers=(10.0,),
+        fault_rates=(0.0,),
+        parallelism=1,
+    )
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps({
+        "rows": len(result.rows),
+        "n_tasks": [row["n_tasks"] for row in result.rows],
+        "sweep_s": round(time.perf_counter() - t0, 2),
+        "peak_rss_mib": round(
+            peak / (1024.0 * 1024.0) if sys.platform == "darwin" else peak / 1024.0, 1
+        ),
+    }))
+finally:
+    shutil.rmtree(root, ignore_errors=True)
+"""
+
+
+def _run_child(code, depth, width):
+    """Run ``code`` in a fresh interpreter on ``src/``; its last stdout line as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -86,13 +120,25 @@ def test_biggraph_generate_and_simulate_bounded_rss():
     )
     env.pop("REPRO_SIM_CHUNK_TASKS", None)  # default chunking is what we certify
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(depth), str(width)],
+        [sys.executable, "-c", code, str(depth), str(width)],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    stats = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _shape():
+    """(depth, width) of the layered graph with at least ``N_TASKS`` tasks."""
+    width = max(int(round(N_TASKS ** 0.5)), 1)
+    return max((N_TASKS + width - 1) // width, 1), width
+
+
+def test_biggraph_generate_and_simulate_bounded_rss():
+    """10^6 tasks: direct-to-store generation + streaming replay, RSS-capped."""
+    depth, width = _shape()
+    stats = _run_child(_CHILD, depth, width)
 
     assert stats["n_tasks"] >= N_TASKS
     assert stats["makespan_s"] > 0.0
@@ -113,6 +159,31 @@ def test_biggraph_generate_and_simulate_bounded_rss():
                 f"(ceiling {PEAK_CEILING_MIB:.0f})",
                 f"  sim RSS delta  : {stats['sim_delta_mib']} MiB "
                 f"(ceiling {SIM_DELTA_CEILING_MIB:.0f})",
+            ]
+        )
+    )
+
+
+def test_biggraph_sweep_of_every_policy_bounded_rss():
+    """10^6 tasks: one workload-sweep cell per selection policy, RSS-capped."""
+    from repro.analysis.experiments import SWEEP_POLICIES
+
+    depth, width = _shape()
+    stats = _run_child(_SWEEP_CHILD, depth, width)
+
+    assert stats["rows"] == len(SWEEP_POLICIES)
+    assert all(n >= N_TASKS for n in stats["n_tasks"]), stats
+    assert stats["peak_rss_mib"] < PEAK_CEILING_MIB, stats
+
+    print(
+        "\n".join(
+            [
+                "",
+                f"Workload sweep of all {len(SWEEP_POLICIES)} policies over layered "
+                f"depth={depth} width={width} (one process)",
+                f"  sweep    : {stats['sweep_s']} s",
+                f"  peak RSS : {stats['peak_rss_mib']} MiB "
+                f"(ceiling {PEAK_CEILING_MIB:.0f})",
             ]
         )
     )

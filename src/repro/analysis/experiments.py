@@ -13,9 +13,11 @@ by an :class:`~repro.analysis.runner.ExperimentEngine`:
 
 * ``parallelism`` fans the grid out over worker processes (default: one per
   CPU, or ``REPRO_PARALLELISM``);
-* ``fast`` selects the vectorized fault-evaluation fast path (default on;
-  the scalar implementations remain the reference — pass ``fast=False``, set
-  ``REPRO_REFERENCE=1``, or use the benchmark harness's ``--reference`` flag);
+* ``fast`` selects the compiled-graph fast path (default on): a fast cell
+  reads only compiled-graph arrays, never an object graph.  The scalar
+  implementations over task descriptors remain the reference — pass
+  ``fast=False``, set ``REPRO_REFERENCE=1``, or use the CLI's
+  ``--reference`` flag;
 * generated task graphs are memoised per process keyed by
   (benchmark, scale, node count), so a graph is built once per run instead of
   once per policy x rate cell; each ``@cell_kind`` declares the keys its
@@ -29,7 +31,7 @@ parallelism and worker scheduling order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.runner import (
     ExperimentEngine,
@@ -39,10 +41,8 @@ from repro.analysis.runner import (
     benchmark_instance,
     cell_kind,
     compiled_sim_cache,
-    default_fast,
     derive_seed,
     make_spec,
-    sim_cache,
 )
 from repro.apps.base import Benchmark
 from repro.apps.linpack import LinpackBenchmark
@@ -55,22 +55,23 @@ from repro.apps.registry import (
     shared_memory_benchmark_names,
 )
 from repro.core.engine import ReplicationDecisions, decide_for_graph
-from repro.core.estimator import ArgumentSizeEstimator, estimate_total_fits
-from repro.core.heuristic import AppFit
+from repro.core.estimator import ArgumentSizeEstimator
+from repro.core.heuristic import AppFit, SelectionPolicy
 from repro.core.knapsack import KnapsackOracle
 from repro.core.policies import (
     CompleteReplication,
     RandomReplication,
     TopFitReplication,
 )
-from repro.core.vectorized import decide_for_compiled, decide_for_graph_fast
+from repro.core.vectorized import compiled_total_fits, decide_baseline, decide_for_compiled
 from repro.faults.model import FailureModel
 from repro.faults.rates import FitRateSpec
 from repro.runtime.compiled import CompiledGraph
 from repro.runtime.graph import TaskGraph
-from repro.simulator.execution import SimulationConfig
-from repro.simulator.fastpath import simulate, simulate_compiled, simulate_compiled_batch
+from repro.simulator.execution import SimulationConfig, simulate_graph
+from repro.simulator.fastpath import SimGraphCache, simulate_compiled, simulate_compiled_batch
 from repro.simulator.machine import MachineSpec, marenostrum_cluster, shared_memory_node
+from repro.util.rng import RngStream
 from repro.util.tables import TextTable
 
 #: Alias used throughout: every experiment row is a flat dict.
@@ -121,7 +122,7 @@ def _seed_makespans(cache, graph, machine, config, seeds, fast) -> List[float]:
     if fast:
         sims = simulate_compiled_batch(cache, machine, config, seeds=seeds)
     else:
-        sims = [simulate(graph, machine, replace(config, seed=s), fast=False) for s in seeds]
+        sims = [simulate_graph(graph, machine, replace(config, seed=s)) for s in seeds]
     return [sim.makespan_s for sim in sims]
 
 
@@ -138,27 +139,25 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _appfit_threshold(graph: TaskGraph, rate_spec: FitRateSpec, fast: bool = False) -> float:
+def _appfit_threshold(graph: TaskGraph, rate_spec: FitRateSpec) -> float:
     """The benchmark's current (1x) FIT — the Figure 3 threshold.
 
-    Per DESIGN.md this is the unprotected application FIT the runtime's own
-    bookkeeping reports at today's error rates; dividing the exascale rates by
-    the multiplier (the paper's framing) is numerically identical.  The fast
-    variant batches the per-task estimation but sums in the same order, so
-    both paths return the same float.
+    This is the unprotected application FIT the runtime's own bookkeeping
+    reports at today's error rates: footnote 3 of the paper omits the
+    per-benchmark thresholds, so the reproduction holds each benchmark to
+    the FIT it has today (:mod:`repro.analysis.report`).  Dividing the
+    exascale rates by the multiplier (the paper's framing) is numerically
+    identical.
     """
-    model = FailureModel(rate_spec.at_todays_rates())
-    if fast:
-        return sum(model.graph_fit_array(graph).tolist())
-    return model.graph_total_fit(graph)
+    return FailureModel(rate_spec.at_todays_rates()).graph_total_fit(graph)
 
 
 def _appfit_threshold_compiled(compiled: CompiledGraph, rate_spec: FitRateSpec) -> float:
     """:func:`_appfit_threshold` over a compiled graph's argument-byte array.
 
-    Same per-byte rates, same array arithmetic and the same left-to-right
-    float summation as the fast path over descriptors, so all three spellings
-    return the identical float.
+    Same per-byte rates, the same per-task arithmetic and the same
+    left-to-right float summation as the scalar path, so both return the
+    identical float.
     """
     model = FailureModel(rate_spec.at_todays_rates())
     return sum(model.fit_array_for_bytes(compiled.arg_bytes).tolist())
@@ -204,13 +203,8 @@ def _appfit_decisions(
     threshold: float,
     estimator: ArgumentSizeEstimator,
     residual_fit_factor: float,
-    fast: bool,
 ) -> ReplicationDecisions:
-    """App_FIT over a whole graph: vectorized sweep or the scalar reference."""
-    if fast:
-        return decide_for_graph_fast(
-            graph, threshold, estimator, residual_fit_factor=residual_fit_factor
-        )
+    """App_FIT over a whole graph, the scalar reference (with its audit)."""
     policy = AppFit(
         threshold=threshold,
         total_tasks=len(graph),
@@ -361,8 +355,8 @@ def _fig3_cell(spec: ExperimentSpec) -> ExperimentRow:
         )
     else:
         graph = benchmark_graph(spec.benchmark, spec.scale)
-        threshold = _appfit_threshold(graph, rate_spec, fast=False)
-        decisions = _appfit_decisions(graph, threshold, estimator, residual, False)
+        threshold = _appfit_threshold(graph, rate_spec)
+        decisions = _appfit_decisions(graph, threshold, estimator, residual)
     audit = decisions.audit
     return {
         "benchmark": spec.benchmark,
@@ -478,10 +472,8 @@ def _fig4_row(spec: ExperimentSpec) -> ExperimentRow:
         )
     else:
         graph = bench.build_graph()
-        baseline = simulate(graph, machine, SimulationConfig(), fast=False)
-        replicated = simulate(
-            graph, machine, SimulationConfig(replicate_all=True), fast=False
-        )
+        baseline = simulate_graph(graph, machine, SimulationConfig())
+        replicated = simulate_graph(graph, machine, SimulationConfig(replicate_all=True))
     return {
         "benchmark": spec.benchmark,
         "baseline_makespan_s": baseline.makespan_s,
@@ -745,108 +737,118 @@ class AblationPoliciesResult:
         return table.render()
 
 
-def _unprotected_fit_fn(graph, estimator, scaled_spec, use_fast):
-    """A ``replicated_ids -> unprotected FIT`` function (vectorized when fast).
+#: One policy's selection in a cell: (replicated ids, task fraction, time
+#: fraction, unprotected FIT).
+PolicySelection = Tuple[Set[int], float, float, float]
 
-    Shared by the policies ablation and ``repro sweep`` so both price the
-    unprotected remainder identically on either path.
+
+def _baseline_policy(
+    name: str, budget: Optional[float], estimator: ArgumentSizeEstimator, seed: int
+) -> SelectionPolicy:
+    """The descriptor policy of one baseline: the reference of :func:`decide_baseline`."""
+    if name == "top_fit":
+        return TopFitReplication(budget, estimator)
+    if name == "random":
+        return RandomReplication(budget, rng=RngStream(seed))
+    if name == "complete":
+        return CompleteReplication()
+    raise KeyError(f"unknown sweep policy {name!r}; known: {SWEEP_POLICIES}")
+
+
+def _select(
+    spec: ExperimentSpec,
+    policies: Sequence[str],
+    cache: Optional[SimGraphCache] = None,
+) -> Tuple[int, float, Dict[str, PolicySelection]]:
+    """``(n_tasks, threshold, {policy: selection})`` of one selection cell.
+
+    The one selection step of the policies ablation, ``repro sweep`` and the
+    workload sweep.  It picks its path once: a fast cell reads only its
+    compiled graph (``cache``, else :func:`compiled_sim_cache`) through the
+    array forms of :mod:`repro.core.vectorized` and
+    :meth:`KnapsackOracle.solve_arrays`; a reference cell walks the task
+    descriptors with the policy classes.  Both return bit-identical
+    selections.  The budget-bounded baselines (``top_fit``, ``random``) reuse
+    App_FIT's replica budget (its task fraction), so comparisons isolate
+    *selection quality* from budget size; App_FIT is decided only when a
+    requested policy needs it.
     """
-    if use_fast:
-        tasks = graph.tasks()
-        fits = estimate_total_fits(estimator, tasks).tolist()
+    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
+    residual: float = spec.param("residual_fit_factor", 0.0)
+    scaled_spec = rate_spec.scaled(spec.param("multiplier"))
+    estimator = ArgumentSizeEstimator(scaled_spec)
+    if spec.fast:
+        if cache is None:
+            cache = compiled_sim_cache(spec.benchmark, spec.scale)
+        compiled = cache.compiled
+        n_tasks, threshold = compiled.n, _appfit_threshold_compiled(compiled, rate_spec)
+        ids, durations = compiled.task_ids.tolist(), compiled.durations.tolist()
+        fits = compiled_total_fits(estimator, compiled)
+        fit_list = fits.tolist()
 
-        def unprotected_fit_of(replicated_ids):
-            return sum(
-                fit for task, fit in zip(tasks, fits) if task.task_id not in replicated_ids
-            )
+        def app_fit():
+            return decide_for_compiled(compiled, threshold, estimator, residual)
 
-        return unprotected_fit_of
-    return lambda replicated_ids: _unprotected_fit(graph, replicated_ids, scaled_spec)
+        def baseline(name, budget):
+            return decide_baseline(name, ids, fits, durations, budget, spec.seed)
 
+        def solve(oracle):
+            return oracle.solve_arrays(ids, fit_list, durations)
 
-def _unprotected_fit_fn_compiled(compiled: CompiledGraph, estimator):
-    """The compiled-graph twin of :func:`_unprotected_fit_fn` (fast variant).
+        def unprotected(chosen):
+            return sum(fit for tid, fit in zip(ids, fit_list) if tid not in chosen)
 
-    Same task order, same per-task FITs, same left-to-right summation — just
-    sourced from the stored id/byte arrays instead of descriptors.
-    """
-    from repro.core.vectorized import compiled_total_fits
-
-    tids = compiled.task_ids.tolist()
-    fits = compiled_total_fits(estimator, compiled).tolist()
-
-    def unprotected_fit_of(replicated_ids):
-        return sum(fit for tid, fit in zip(tids, fits) if tid not in replicated_ids)
-
-    return unprotected_fit_of
-
-
-def _policy_decision(graph, policy_name, threshold, estimator, appfit_dec, seed):
-    """(replicated_ids, task_fraction, time_fraction) of one named policy.
-
-    The single dispatch shared by the policies ablation and ``repro sweep``:
-    the budget-bounded baselines (``top_fit``, ``random``) reuse App_FIT's
-    replica budget (``appfit_dec.task_fraction``), so comparisons isolate
-    *selection quality* from budget size.  ``appfit_dec`` may be ``None`` for
-    the policies that never consult it (``knapsack_oracle``, ``complete``).
-    """
-    if policy_name == "app_fit":
-        return appfit_dec.replicated_ids, appfit_dec.task_fraction, appfit_dec.time_fraction
-    if policy_name == "knapsack_oracle":
-        solution = KnapsackOracle(threshold, estimator).solve(graph.tasks())
-        return (
-            solution.replicate_ids,
-            solution.replication_task_fraction,
-            solution.replication_time_fraction,
-        )
-    if policy_name == "top_fit":
-        decided = decide_for_graph(
-            graph, TopFitReplication(appfit_dec.task_fraction, estimator)
-        )
-    elif policy_name == "random":
-        from repro.util.rng import RngStream
-
-        decided = decide_for_graph(
-            graph,
-            RandomReplication(appfit_dec.task_fraction, rng=RngStream(seed)),
-        )
-    elif policy_name == "complete":
-        decided = decide_for_graph(graph, CompleteReplication())
     else:
-        raise KeyError(f"unknown sweep policy {policy_name!r}; known: {SWEEP_POLICIES}")
-    return decided.replicated_ids, decided.task_fraction, decided.time_fraction
+        graph = benchmark_graph(spec.benchmark, spec.scale)
+        n_tasks, threshold = len(graph), _appfit_threshold(graph, rate_spec)
+
+        def app_fit():
+            return _appfit_decisions(graph, threshold, estimator, residual)
+
+        def baseline(name, budget):
+            return decide_for_graph(graph, _baseline_policy(name, budget, estimator, spec.seed))
+
+        def solve(oracle):
+            return oracle.solve(graph.tasks())
+
+        def unprotected(chosen):
+            return _unprotected_fit(graph, chosen, scaled_spec)
+
+    appfit_dec = app_fit() if {"app_fit", "top_fit", "random"} & set(policies) else None
+    budget = appfit_dec.task_fraction if appfit_dec else None
+    selections: Dict[str, PolicySelection] = {}
+    for name in policies:
+        if name == "knapsack_oracle":
+            sol = solve(KnapsackOracle(threshold, estimator))
+            chosen = (
+                sol.replicate_ids,
+                sol.replication_task_fraction,
+                sol.replication_time_fraction,
+            )
+        else:
+            dec = appfit_dec if name == "app_fit" else baseline(name, budget)
+            chosen = (dec.replicated_ids, dec.task_fraction, dec.time_fraction)
+        selections[name] = chosen + (unprotected(chosen[0]),)
+    return n_tasks, threshold, selections
 
 
-@cell_kind("ablation_policies_cell")
+@cell_kind("ablation_policies_cell", graphs=_registry_graph)
 def _ablation_policies_cell(spec: ExperimentSpec) -> List[ExperimentRow]:
     """All five selection policies on one benchmark (one cached cell).
 
     The policies share the App_FIT decision (its task fraction is the replica
     budget of the FIT-oblivious baselines) and the per-task FIT estimates, so
-    the whole benchmark is one cell rather than five.
+    the whole benchmark is one cell rather than five.  The selection is
+    :func:`_select`'s, so a fast cell reads only the compiled graph.
     """
-    name = spec.benchmark
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    multiplier: float = spec.param("multiplier")
-    use_fast = spec.fast
+    _, threshold, selections = _select(
+        spec, ("app_fit", "knapsack_oracle", "random", "top_fit", "complete")
+    )
     rows: List[ExperimentRow] = []
-
-    graph = benchmark_graph(name, spec.scale)
-    threshold = _appfit_threshold(graph, rate_spec, fast=use_fast)
-    scaled_spec = rate_spec.scaled(multiplier)
-    estimator = ArgumentSizeEstimator(scaled_spec)
-
-    appfit_dec = _appfit_decisions(graph, threshold, estimator, 0.0, use_fast)
-    unprotected_fit_of = _unprotected_fit_fn(graph, estimator, scaled_spec, use_fast)
-
-    for policy_name in ("app_fit", "knapsack_oracle", "random", "top_fit", "complete"):
-        replicated_ids, task_fraction, time_fraction = _policy_decision(
-            graph, policy_name, threshold, estimator, appfit_dec, spec.seed
-        )
-        unprotected = unprotected_fit_of(replicated_ids)
+    for policy_name, (_, task_fraction, time_fraction, unprotected) in selections.items():
         rows.append(
             {
-                "benchmark": name,
+                "benchmark": spec.benchmark,
                 "policy": policy_name,
                 "task_fraction": task_fraction,
                 "time_fraction": time_fraction,
@@ -927,8 +929,8 @@ def _rate_sweep_cell(spec: ExperimentSpec) -> ExperimentRow:
         )
     else:
         graph = benchmark_graph(spec.benchmark, spec.scale)
-        threshold = _appfit_threshold(graph, rate_spec, fast=False)
-        decisions = _appfit_decisions(graph, threshold, estimator, residual, False)
+        threshold = _appfit_threshold(graph, rate_spec)
+        decisions = _appfit_decisions(graph, threshold, estimator, residual)
     return {
         "multiplier": multiplier,
         "residual_fit_factor": residual,
@@ -1015,61 +1017,20 @@ class SweepResult:
         return table.render()
 
 
-def _policy_graphs(spec: ExperimentSpec) -> List[GraphKey]:
-    """Only a fast ``app_fit`` cell reads the compiled graph."""
-    return _registry_graph(spec) if spec.param("policy") == "app_fit" else []
-
-
-@cell_kind("policy_cell", graphs=_policy_graphs)
+@cell_kind("policy_cell", graphs=_registry_graph)
 def _policy_cell(spec: ExperimentSpec) -> ExperimentRow:
     """One sweep cell: a named policy on one benchmark at one rate multiplier.
 
-    The budget-bounded baselines (``top_fit``, ``random``) reuse App_FIT's
-    replica budget, so the comparison isolates *selection quality* from
-    budget size — the same framing as the policies ablation.
+    The selection is :func:`_select`'s — the same as the policies ablation's,
+    budget framing included — so a fast cell reads only the compiled graph.
     """
     policy_name: str = spec.param("policy")
-    multiplier: float = spec.param("multiplier")
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    residual: float = spec.param("residual_fit_factor", 0.0)
-
-    scaled_spec = rate_spec.scaled(multiplier)
-    estimator = ArgumentSizeEstimator(scaled_spec)
-
-    if spec.fast and policy_name == "app_fit":
-        # App_FIT is a pure function of the compiled arrays — no task graph.
-        # The baseline policies walk real descriptors and keep the graph path.
-        compiled = compiled_sim_cache(spec.benchmark, spec.scale).compiled
-        threshold = _appfit_threshold_compiled(compiled, rate_spec)
-        appfit_dec = decide_for_compiled(
-            compiled, threshold, estimator, residual_fit_factor=residual
-        )
-        replicated_ids = appfit_dec.replicated_ids
-        task_fraction = appfit_dec.task_fraction
-        time_fraction = appfit_dec.time_fraction
-        unprotected = _unprotected_fit_fn_compiled(compiled, estimator)(
-            set(replicated_ids)
-        )
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-        threshold = _appfit_threshold(graph, rate_spec, fast=spec.fast)
-        # complete/knapsack_oracle never consult the App_FIT decision — skip
-        # the whole-graph sweep for those cells.
-        appfit_dec = (
-            _appfit_decisions(graph, threshold, estimator, residual, spec.fast)
-            if policy_name in ("app_fit", "top_fit", "random")
-            else None
-        )
-        replicated_ids, task_fraction, time_fraction = _policy_decision(
-            graph, policy_name, threshold, estimator, appfit_dec, spec.seed
-        )
-        unprotected = _unprotected_fit_fn(graph, estimator, scaled_spec, spec.fast)(
-            set(replicated_ids)
-        )
+    _, threshold, selections = _select(spec, (policy_name,))
+    _, task_fraction, time_fraction, unprotected = selections[policy_name]
     return {
         "benchmark": spec.benchmark,
         "policy": policy_name,
-        "multiplier": multiplier,
+        "multiplier": spec.param("multiplier"),
         "task_fraction": task_fraction,
         "time_fraction": time_fraction,
         "unprotected_fit": unprotected,
@@ -1186,100 +1147,42 @@ def _workload_cell(spec: ExperimentSpec) -> ExperimentRow:
     compiled-graph content address both cover the full workload identity —
     family, every parameter, seed, and (for traces) the file digest.
 
-    The fast path keeps App_FIT and the simulation entirely on the compiled
-    arrays; the baseline policies walk real descriptors for their decisions,
-    like :func:`_policy_cell`.  Fast and reference rows are bit-identical.
+    The selection is :func:`_select`'s, given the cell's one compiled graph,
+    and the replays run on that graph too, so a fast cell reads nothing else;
+    a reference cell walks the descriptors and the scalar simulator.  Fast
+    and reference rows are bit-identical.
     """
     policy_name: str = spec.param("policy")
-    multiplier: float = spec.param("multiplier")
     fault_rate: float = spec.param("fault_rate", 0.0)
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    residual: float = spec.param("residual_fit_factor", 0.0)
-    cores: int = spec.param("cores", 16)
     seeds = _replica_seeds(spec.seed, spec.param("n_seeds", 1))
+    machine = shared_memory_node(cores=spec.param("cores", 16))
 
-    scaled_spec = rate_spec.scaled(multiplier)
-    estimator = ArgumentSizeEstimator(scaled_spec)
-    machine = shared_memory_node(cores=cores)
-
+    cache = graph = None
     if spec.fast:
         cache = compiled_sim_cache(spec.benchmark, spec.scale)
-        compiled = cache.compiled
-        n_tasks = compiled.n
-        threshold = _appfit_threshold_compiled(compiled, rate_spec)
-        if policy_name == "app_fit":
-            appfit_dec = decide_for_compiled(
-                compiled, threshold, estimator, residual_fit_factor=residual
-            )
-            replicated_ids = appfit_dec.replicated_ids
-            task_fraction = appfit_dec.task_fraction
-            time_fraction = appfit_dec.time_fraction
-            unprotected = _unprotected_fit_fn_compiled(compiled, estimator)(
-                set(replicated_ids)
-            )
-        else:
-            graph = benchmark_graph(spec.benchmark, spec.scale)
-            appfit_dec = (
-                _appfit_decisions(graph, threshold, estimator, residual, True)
-                if policy_name in ("top_fit", "random")
-                else None
-            )
-            replicated_ids, task_fraction, time_fraction = _policy_decision(
-                graph, policy_name, threshold, estimator, appfit_dec, spec.seed
-            )
-            unprotected = _unprotected_fit_fn(graph, estimator, scaled_spec, True)(
-                set(replicated_ids)
-            )
-        sim_config = dict(
-            crash_probability=fault_rate, seed=spec.seed, collect_records=False
-        )
-        baseline_s = _mean(
-            _seed_makespans(cache, None, machine, SimulationConfig(**sim_config), seeds, True)
-        )
-        selective_s = _mean(
-            _seed_makespans(
-                cache,
-                None,
-                machine,
-                SimulationConfig(replicated_ids=set(replicated_ids), **sim_config),
-                seeds,
-                True,
-            )
-        )
     else:
         graph = benchmark_graph(spec.benchmark, spec.scale)
-        n_tasks = len(graph)
-        threshold = _appfit_threshold(graph, rate_spec, fast=False)
-        appfit_dec = (
-            _appfit_decisions(graph, threshold, estimator, residual, False)
-            if policy_name in ("app_fit", "top_fit", "random")
-            else None
+    n_tasks, threshold, selections = _select(spec, (policy_name,), cache)
+    replicated_ids, task_fraction, time_fraction, unprotected = selections[policy_name]
+    config = SimulationConfig(
+        crash_probability=fault_rate, seed=spec.seed, collect_records=not spec.fast
+    )
+    baseline_s = _mean(_seed_makespans(cache, graph, machine, config, seeds, spec.fast))
+    selective_s = _mean(
+        _seed_makespans(
+            cache,
+            graph,
+            machine,
+            replace(config, replicated_ids=replicated_ids),
+            seeds,
+            spec.fast,
         )
-        replicated_ids, task_fraction, time_fraction = _policy_decision(
-            graph, policy_name, threshold, estimator, appfit_dec, spec.seed
-        )
-        unprotected = _unprotected_fit_fn(graph, estimator, scaled_spec, False)(
-            set(replicated_ids)
-        )
-        sim_config = dict(crash_probability=fault_rate, seed=spec.seed)
-        baseline_s = _mean(
-            _seed_makespans(None, graph, machine, SimulationConfig(**sim_config), seeds, False)
-        )
-        selective_s = _mean(
-            _seed_makespans(
-                None,
-                graph,
-                machine,
-                SimulationConfig(replicated_ids=set(replicated_ids), **sim_config),
-                seeds,
-                False,
-            )
-        )
+    )
     overhead = (selective_s - baseline_s) / baseline_s if baseline_s > 0 else 0.0
     return {
         "workload": spec.benchmark,
         "policy": policy_name,
-        "multiplier": multiplier,
+        "multiplier": spec.param("multiplier"),
         "fault_rate": fault_rate,
         "n_tasks": n_tasks,
         "task_fraction": task_fraction,

@@ -4,8 +4,7 @@ The reproduction cannot (and does not try to) match the paper's absolute
 numbers — the substrate is a simulator, the SDC rate constant is not published,
 and footnote 3 of the paper omits the per-benchmark thresholds.  What must
 hold is the *shape* of the results.  This module records the paper's headline
-numbers and the qualitative claims the test-suite and EXPERIMENTS.md check
-against.
+numbers and the qualitative claims the test suite checks against.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ Key properties:
   memoisation, which is also the mode the portable figure drivers default to
   on single-core machines.
 * **Fast/reference duality** — ``fast=True`` (default) routes cells through
-  the vectorized fault-evaluation fast path
-  (:mod:`repro.core.vectorized`, :mod:`repro.simulator.fastpath`);
+  the compiled-graph fast path (:mod:`repro.core.vectorized`,
+  :mod:`repro.simulator.fastpath`), which reads only compiled graphs;
   ``fast=False`` runs the scalar reference implementations.  The benchmark
   harness exposes this as the ``--reference`` escape hatch and the
   ``REPRO_REFERENCE=1`` environment variable; ``REPRO_PARALLELISM`` overrides
@@ -51,7 +51,7 @@ import os
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import create_benchmark
@@ -305,10 +305,10 @@ def benchmark_instance(
 def benchmark_graph(name: str, scale: float, n_nodes: Optional[int] = None) -> TaskGraph:
     """The memoised task graph of a benchmark configuration.
 
-    Object-graph cells (the reference path, the policies ablation) build it
-    at most once per process.  A compile for the on-disk store builds it
-    too, then drops it, so a later object-graph cell in the same process
-    builds it again.
+    Reference-path cells build it at most once per process; fast cells
+    never read it.  A compile for the on-disk store builds it too, then
+    drops it, so a later reference cell in the same process builds it
+    again.
     """
     return benchmark_instance(name, scale, n_nodes).build_graph()
 
@@ -788,16 +788,3 @@ class ExperimentEngine:
         """Deliver one progress event to the callback, if any."""
         if self.progress is not None:
             self.progress(event)
-
-    def run_grid(self, specs: Sequence[ExperimentSpec]) -> List["ExperimentResult"]:
-        """Like :meth:`map`, but pairs every payload with its spec."""
-        payloads = self.map(specs)
-        return [ExperimentResult(spec=s, payload=p) for s, p in zip(specs, payloads)]
-
-
-@dataclass
-class ExperimentResult:
-    """One executed cell: the spec that produced it plus its payload."""
-
-    spec: ExperimentSpec
-    payload: Any = field(default=None)

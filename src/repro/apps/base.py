@@ -119,7 +119,10 @@ class Benchmark(abc.ABC):
         """Execute a scaled-down functional variant through the runtime.
 
         Only the shared-memory benchmarks provide functional variants; the
-        distributed ones are simulation-only (see DESIGN.md).
+        distributed ones are simulation-only: the paper runs them with MPI on
+        up to 64 nodes, and here that cluster exists only as the simulated
+        substrate of :mod:`repro.distributed` (``docs/architecture.md``,
+        "Layer map").
         """
         raise NotImplementedError(
             f"benchmark {self.name!r} does not provide a functional variant"

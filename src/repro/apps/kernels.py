@@ -159,19 +159,3 @@ def kernel_perlin_block(pixels: np.ndarray, phase: float) -> None:
     """
     idx = np.arange(pixels.size, dtype=np.float64)
     pixels += np.sin(idx * 0.01 + phase) * np.cos(idx * 0.003 - phase)
-
-
-def kernel_nbody_forces(positions: np.ndarray, others: np.ndarray, forces: np.ndarray) -> None:
-    """Accumulate pairwise inverse-square forces of ``others`` on ``positions``."""
-    # positions/others: (n, 3); forces: (n, 3)
-    for i in range(positions.shape[0]):
-        delta = others - positions[i]
-        dist2 = np.sum(delta * delta, axis=1) + 1e-9
-        forces[i] += np.sum(delta / dist2[:, None] ** 1.5, axis=0)
-
-
-def kernel_nbody_update(positions: np.ndarray, velocities: np.ndarray, forces: np.ndarray, dt: float) -> None:
-    """Leapfrog position/velocity update."""
-    velocities += forces * dt
-    positions += velocities * dt
-    forces[:] = 0.0

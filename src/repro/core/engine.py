@@ -1,6 +1,8 @@
 """The selective-replication engine.
 
-Two entry points serve the two execution modes described in DESIGN.md:
+Two entry points serve the two execution modes: the functional mode runs
+real task kernels on the task runtime, and the simulation mode replays a
+task graph on the simulator (``docs/architecture.md``, "Layer map"):
 
 * **Execution hook** (functional mode): :class:`SelectiveReplicationEngine`
   implements the executor's hook protocol.  Right before a task runs, the

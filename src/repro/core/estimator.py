@@ -32,16 +32,12 @@ class FailureRateEstimator(Protocol):
 def estimate_total_fits(
     estimator: "FailureRateEstimator", tasks: Sequence[TaskDescriptor]
 ) -> np.ndarray:
-    """Total FIT (crash + SDC) per task, using the batch API when available.
+    """Total FIT (crash + SDC) per task, one :meth:`estimate` call each.
 
-    Estimators may provide ``estimate_batch(tasks) -> np.ndarray`` as a
-    vectorized fast path; anything else falls back to the scalar protocol.
-    Both paths return the same values — the batch implementations mirror the
-    scalar arithmetic exactly.
+    The reference policies' estimation; the compiled-graph path maps a
+    whole byte array at once (:func:`repro.core.vectorized.compiled_total_fits`)
+    to the same values.
     """
-    batch = getattr(estimator, "estimate_batch", None)
-    if batch is not None:
-        return np.asarray(batch(tasks), dtype=np.float64)
     return np.fromiter(
         (estimator.estimate(t).total_fit for t in tasks),
         dtype=np.float64,
@@ -64,16 +60,12 @@ class ArgumentSizeEstimator:
         """λF(T), λSDC(T) proportional to the task's total argument bytes."""
         return self.model.task_rates(task)
 
-    def estimate_batch(self, tasks: Sequence[TaskDescriptor]) -> np.ndarray:
-        """Vectorized total FIT for every task (bit-identical to :meth:`estimate`)."""
-        return self.model.task_total_fit_array(tasks)
-
     def estimate_batch_bytes(self, arg_bytes: np.ndarray) -> np.ndarray:
         """Vectorized total FIT from per-task argument-byte totals.
 
         The compiled-graph fast path stores each task's total argument size
         as a flat array; this maps it straight to FITs without descriptors,
-        bit-identical to :meth:`estimate_batch` on the original tasks.
+        bit-identical to :meth:`estimate` on the original tasks.
         """
         return self.model.fit_array_for_bytes(arg_bytes)
 

@@ -20,8 +20,8 @@ graphs, tens of thousands of tasks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.estimator import (
     ArgumentSizeEstimator,
@@ -81,7 +81,29 @@ class KnapsackOracle:
 
     def solve(self, tasks: Sequence[TaskDescriptor]) -> KnapsackSolution:
         """Choose the tasks to replicate for the given task list."""
-        items = self._items(tasks)
+        return self.solve_arrays(
+            [t.task_id for t in tasks],
+            estimate_total_fits(self.estimator, tasks).tolist(),
+            [t.duration_s for t in tasks],
+        )
+
+    def solve_arrays(
+        self,
+        task_ids: Sequence[int],
+        fits: Sequence[float],
+        durations: Sequence[float],
+    ) -> KnapsackSolution:
+        """:meth:`solve` over per-task ids, total FITs and durations, in task order.
+
+        The compiled-graph path passes a compiled graph's arrays (as lists),
+        so both paths run this one solver.  An item's value is its duration,
+        or its FIT when no task has a positive duration.
+        """
+        have_durations = any(d > 0 for d in durations)
+        items = [
+            (tid, fit, duration if have_durations else fit)
+            for tid, fit, duration in zip(task_ids, fits, durations)
+        ]
         if len(items) <= self.exact_limit:
             keep = self._solve_exact(items)
         else:
@@ -90,16 +112,6 @@ class KnapsackOracle:
         return self._solution(items, keep)
 
     # -- internals ----------------------------------------------------------------
-
-    def _items(self, tasks: Sequence[TaskDescriptor]) -> List[Tuple[int, float, float]]:
-        """(task_id, fit_weight, value) triples; value defaults to FIT when no durations."""
-        have_durations = any(t.duration_s > 0 for t in tasks)
-        fits = estimate_total_fits(self.estimator, tasks).tolist()
-        items: List[Tuple[int, float, float]] = []
-        for t, fit in zip(tasks, fits):
-            value = t.duration_s if have_durations else fit
-            items.append((t.task_id, fit, value))
-        return items
 
     def _solve_greedy(self, items: List[Tuple[int, float, float]]) -> Set[int]:
         """Greedy by value density: pack high value-per-FIT tasks as unprotected."""

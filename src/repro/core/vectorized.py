@@ -1,18 +1,24 @@
-"""Vectorized fault-evaluation fast path for the App_FIT sweep.
+"""Selection over compiled-graph arrays: the fast path of every policy cell.
 
-The scalar path (:class:`~repro.core.heuristic.AppFit` driven by
+The scalar path (:class:`~repro.core.heuristic.AppFit` and the baselines of
+:mod:`repro.core.policies`, driven by
 :func:`~repro.core.engine.decide_for_graph`) consults the estimator once per
-task, taking a lock and materialising a :class:`TaskFailureRates` and a
-:class:`SelectionDecision` per decision.  That is the right shape for the
-runtime hook, but the experiment drivers evaluate Equation 1 over tens of
-thousands of tasks per figure cell, where the object churn dominates.
+task and materialises a :class:`SelectionDecision` per decision.  That is the
+right shape for the runtime hook, and it stays the reference; but the
+experiment drivers evaluate a policy over tens of thousands to millions of
+tasks per cell, where the object churn dominates.
 
-This module batches the expensive part — per-task FIT estimation — into one
-NumPy array pass (:func:`repro.core.estimator.estimate_total_fits`) and runs
-the inherently sequential Equation-1 scan over primitive floats.  Every
-arithmetic operation mirrors the scalar implementation exactly, so the fast
-path produces bit-identical fractions and audits; the scalar path remains the
-reference implementation and the equivalence test suite pins the two together.
+This module selects straight from a
+:class:`~repro.runtime.compiled.CompiledGraph`: the per-task FITs come from
+its argument-byte array in one NumPy pass (:func:`compiled_total_fits`), the
+inherently sequential Equation-1 scan runs over primitive floats
+(:func:`appfit_sweep`), the baselines are a sort, a Bernoulli block or a
+constant mask (:func:`decide_baseline`), and one fold turns any mask into
+:class:`ReplicationDecisions`.  The knapsack oracle's array entry point is
+:meth:`repro.core.knapsack.KnapsackOracle.solve_arrays`.  Every arithmetic
+operation mirrors the scalar implementation exactly, so the fractions, ids
+and audits are bit-identical to the reference, which the equivalence test
+suite pins.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from typing import Optional, Sequence, Set
 import numpy as np
 
 from repro.core.engine import ReplicationDecisions
-from repro.core.estimator import FailureRateEstimator, estimate_total_fits
+from repro.core.estimator import FailureRateEstimator
 from repro.core.fit import FitAudit
-from repro.runtime.compiled import CompiledGraph
+from repro.runtime.compiled import CompiledGraph, compile_graph
 from repro.runtime.graph import TaskGraph
+from repro.util.rng import RngStream
 from repro.util.validation import check_non_negative, check_positive_int
 
 
@@ -108,51 +115,45 @@ def decide_for_graph_fast(
     estimator: FailureRateEstimator,
     residual_fit_factor: float = 0.0,
 ) -> ReplicationDecisions:
-    """Batch equivalent of ``decide_for_graph(graph, AppFit(...))``.
+    """:func:`decide_for_compiled` over a freshly compiled ``graph``.
 
-    Returns the same aggregate :class:`ReplicationDecisions` (fractions, ids,
-    audit) without materialising per-decision objects, which is why the
-    ``decisions`` list is left empty.
+    Nothing in the package calls it: the benchmark harness's tracer
+    (``bench/tracing.py``) looks it up by name, and ROADMAP item 5, which
+    moves that tracer onto ``repro.obs``, deletes it.
     """
-    tasks = graph.tasks()
-    fits = estimate_total_fits(estimator, tasks)
-    sweep = appfit_sweep(
-        fits, threshold, total_tasks=len(tasks), residual_fit_factor=residual_fit_factor
-    )
-    return _decisions_from_sweep(
-        sweep,
-        [t.task_id for t in tasks],
-        [t.duration_s for t in tasks],
-    )
+    return decide_for_compiled(compile_graph(graph), threshold, estimator, residual_fit_factor)
 
 
-def _decisions_from_sweep(
-    sweep: AppFitSweepResult,
+def _decisions_from_mask(
+    policy_name: str,
+    replicate: np.ndarray,
     task_ids: Sequence[int],
     durations: Sequence[float],
+    audit: Optional[FitAudit] = None,
 ) -> ReplicationDecisions:
-    """Fold one sweep plus per-task (id, duration) streams into decisions.
+    """Fold a per-task replicate mask plus (id, duration) streams into decisions.
 
     The duration accumulations run in task order with plain float adds,
-    mirroring the scalar path's per-decision bookkeeping exactly.
+    mirroring :func:`~repro.core.engine.decide_for_graph`'s per-decision
+    bookkeeping exactly.  App_FIT and the array baselines share this fold.
     """
     replicated_ids: Set[int] = set()
     replicated_duration = 0.0
     total_duration = 0.0
-    for tid, duration, rep in zip(task_ids, durations, sweep.replicate.tolist()):
+    for tid, duration, rep in zip(task_ids, durations, replicate.tolist()):
         total_duration += duration
         if rep:
             replicated_ids.add(tid)
             replicated_duration += duration
     return ReplicationDecisions(
-        policy_name="app_fit",
-        total_tasks=sweep.total_tasks,
+        policy_name=policy_name,
+        total_tasks=len(replicate),
         replicated_tasks=len(replicated_ids),
         total_duration_s=total_duration,
         replicated_duration_s=replicated_duration,
         replicated_ids=replicated_ids,
         decisions=[],
-        audit=sweep.audit(),
+        audit=audit,
     )
 
 
@@ -181,7 +182,7 @@ def decide_for_compiled(
     estimator: FailureRateEstimator,
     residual_fit_factor: float = 0.0,
 ) -> ReplicationDecisions:
-    """:func:`decide_for_graph_fast` over a compiled graph — no descriptors.
+    """``decide_for_graph(graph, AppFit(...))`` over a compiled graph — no descriptors.
 
     Worker processes use this with memory-mapped compiled graphs: the FIT
     estimates come from the stored argument-byte array and the duration
@@ -193,6 +194,50 @@ def decide_for_compiled(
     sweep = appfit_sweep(
         fits, threshold, total_tasks=compiled.n, residual_fit_factor=residual_fit_factor
     )
-    return _decisions_from_sweep(
-        sweep, compiled.task_ids.tolist(), compiled.durations.tolist()
+    return _decisions_from_mask(
+        "app_fit",
+        sweep.replicate,
+        compiled.task_ids.tolist(),
+        compiled.durations.tolist(),
+        audit=sweep.audit(),
     )
+
+
+def decide_baseline(
+    policy_name: str,
+    task_ids: Sequence[int],
+    fits: np.ndarray,
+    durations: Sequence[float],
+    fraction: float,
+    seed: int,
+) -> ReplicationDecisions:
+    """A FIT-oblivious or offline baseline of :mod:`repro.core.policies` over arrays.
+
+    ``fits`` are the per-task total FITs in task order (see
+    :func:`compiled_total_fits`); ``fraction`` is the replica budget of the
+    budget-bounded baselines.  Each mask equals, bit for bit, the decisions
+    ``decide_for_graph`` takes with the descriptor policy:
+
+    * ``top_fit`` — :class:`~repro.core.policies.TopFitReplication`: the
+      ``round(fraction * n)`` highest-FIT tasks; the stable sort keeps tied
+      tasks in task order, as ``sorted(..., reverse=True)`` does;
+    * ``random`` — :class:`~repro.core.policies.RandomReplication` with
+      ``RngStream(seed)``: one block of the uniforms its ``decide`` draws one
+      at a time, and none when ``fraction`` is 0 or 1, as
+      :meth:`~repro.util.rng.RngStream.bernoulli` draws none;
+    * ``complete`` — :class:`~repro.core.policies.CompleteReplication`.
+    """
+    n = len(task_ids)
+    if policy_name == "top_fit":
+        replicate = np.zeros(n, dtype=bool)
+        replicate[np.argsort(-fits, kind="stable")[: int(round(fraction * n))]] = True
+    elif policy_name == "random":
+        if fraction <= 0.0 or fraction >= 1.0:
+            replicate = np.full(n, fraction >= 1.0)
+        else:
+            replicate = RngStream(seed).generator.random(n) < fraction
+    elif policy_name == "complete":
+        replicate = np.ones(n, dtype=bool)
+    else:
+        raise KeyError(f"no array form of policy {policy_name!r}")
+    return _decisions_from_mask(policy_name, replicate, task_ids, durations)

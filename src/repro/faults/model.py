@@ -10,7 +10,7 @@ per-execution failure probabilities for the fault injector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -70,45 +70,19 @@ class FailureModel:
         bookkeeping would accumulate with no replication."""
         return sum(self.task_total_fit(t) for t in graph.tasks())
 
-    # -- vectorized fast path (batch estimation over task arrays) -------------
-
-    def task_fit_arrays(
-        self, tasks: Sequence[TaskDescriptor]
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(crash_fit, sdc_fit)`` arrays for ``tasks``, in input order.
-
-        Element ``i`` equals ``task_rates(tasks[i])`` exactly: the per-byte
-        rates are the same scalars and the per-element arithmetic matches the
-        scalar path operation for operation, so the batch is bit-identical to
-        the per-task loop — the scalar API stays the reference implementation.
-        """
-        n_bytes = np.fromiter(
-            (t.argument_bytes for t in tasks), dtype=np.float64, count=len(tasks)
-        )
-        return (
-            n_bytes * self.rate_spec.crash_fit_per_byte,
-            n_bytes * self.rate_spec.sdc_fit_per_byte,
-        )
-
-    def task_total_fit_array(self, tasks: Sequence[TaskDescriptor]) -> np.ndarray:
-        """``λF(T) + λSDC(T)`` for every task, vectorized (see :meth:`task_fit_arrays`)."""
-        crash, sdc = self.task_fit_arrays(tasks)
-        return crash + sdc
+    # -- compiled-graph path ---------------------------------------------------
 
     def fit_array_for_bytes(self, n_bytes: np.ndarray) -> np.ndarray:
         """Total FIT per task from an argument-byte array (compiled-graph path).
 
         ``n_bytes[i]`` is a task's total argument size; the result equals
-        :meth:`task_total_fit_array` element for element — the same per-byte
-        scalars and the same operation order, just without materialising the
-        descriptors (compiled graphs store the byte array directly).
+        ``task_total_fit`` of that task element for element — the same
+        per-byte scalars and the same operation order, just without
+        materialising the descriptors (compiled graphs store the byte array
+        directly).
         """
         n_bytes = np.asarray(n_bytes, dtype=np.float64)
         return n_bytes * self.rate_spec.crash_fit_per_byte + n_bytes * self.rate_spec.sdc_fit_per_byte
-
-    def graph_fit_array(self, graph: TaskGraph) -> np.ndarray:
-        """Total FIT of every task of ``graph`` in submission order, vectorized."""
-        return self.task_total_fit_array(graph.tasks())
 
     # -- application-level estimation ----------------------------------------
 

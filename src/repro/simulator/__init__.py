@@ -15,10 +15,11 @@ machine model with
 
 Two interchangeable executions of the same model exist:
 :func:`~repro.simulator.execution.simulate_graph` is the scalar reference
-loop, and :func:`~repro.simulator.fastpath.simulate_graph_fast` is the fast
-path (per-graph replay terms, chunked fault draws) that produces
-bit-identical results; :func:`~repro.simulator.fastpath.simulate` dispatches
-between them.
+loop over a task graph, and :func:`~repro.simulator.fastpath.simulate_compiled`
+is the fast path over a compiled graph's
+:class:`~repro.simulator.fastpath.SimGraphCache` (per-graph replay terms,
+chunked fault draws), which produces bit-identical results.  The experiment
+cells pick one per cell (their ``fast`` flag).
 
 The fast path runs on one of two bit-identical *backends*, selected via
 ``$REPRO_SIM_BACKEND`` (see :mod:`repro.simulator.backend`): a self-compiled
@@ -39,10 +40,8 @@ from repro.simulator.execution import (
 )
 from repro.simulator.fastpath import (
     SimGraphCache,
-    simulate,
     simulate_compiled,
     simulate_compiled_batch,
-    simulate_graph_fast,
 )
 
 __all__ = [
@@ -55,9 +54,7 @@ __all__ = [
     "SimulationResult",
     "marenostrum_cluster",
     "shared_memory_node",
-    "simulate",
     "simulate_compiled",
     "simulate_compiled_batch",
     "simulate_graph",
-    "simulate_graph_fast",
 ]

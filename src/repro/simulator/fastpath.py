@@ -29,8 +29,8 @@ scalar code uses), and events pop in the reference's (time, sequence number)
 order — a task's spare release, core release and same-time completion travel
 as one event, since nothing can sort between them — so the fast path is
 bit-identical to the reference, which the equivalence test suite asserts.
-Use ``fast=False`` (or the benchmark harness's ``--reference`` flag) to fall
-back to the reference implementation.
+The experiment cells' ``fast=False`` (the CLI's ``--reference`` flag) runs
+the reference instead.
 """
 
 from __future__ import annotations
@@ -48,12 +48,7 @@ from repro.runtime.compiled import CompiledGraph, compile_graph
 from repro.runtime.graph import TaskGraph
 from repro.simulator import backend as _backends
 from repro.simulator.costs import ReplicationCostModel
-from repro.simulator.execution import (
-    SimulatedTaskRecord,
-    SimulationConfig,
-    SimulationResult,
-    simulate_graph,
-)
+from repro.simulator.execution import SimulatedTaskRecord, SimulationConfig, SimulationResult
 from repro.simulator.machine import MachineSpec
 
 #: Event flags of the flat loop, as in ``_simkernel.c`` (whose header explains
@@ -760,31 +755,3 @@ def _simulate_python(
         record_arrays,
     )
 
-
-def simulate_graph_fast(
-    graph: TaskGraph,
-    machine: MachineSpec,
-    config: Optional[SimulationConfig] = None,
-    cache: Optional[SimGraphCache] = None,
-) -> SimulationResult:
-    """Drop-in replacement for :func:`simulate_graph`, bit-identical results.
-
-    Pass a :class:`SimGraphCache` to amortise the per-graph precomputation
-    across fault rates and machine sizes (the experiment engine does).
-    """
-    if cache is None:
-        cache = SimGraphCache(graph)
-    return simulate_compiled(cache, machine, config)
-
-
-def simulate(
-    graph: TaskGraph,
-    machine: MachineSpec,
-    config: Optional[SimulationConfig] = None,
-    fast: bool = True,
-    cache: Optional[SimGraphCache] = None,
-) -> SimulationResult:
-    """Dispatch to the fast path (default) or the scalar reference loop."""
-    if fast:
-        return simulate_graph_fast(graph, machine, config, cache=cache)
-    return simulate_graph(graph, machine, config)

@@ -11,7 +11,7 @@ from repro.faults.rates import (
     FitRateSpec,
     exascale_scenario,
 )
-from repro.util.units import GIB, KIB, MIB
+from repro.util.units import GIB, KIB, MIB, fit_to_failures_per_second
 from tests.conftest import make_chain_graph, make_task
 
 
@@ -113,6 +113,19 @@ class TestFailureModel:
             -model.rate_spec.crash_fit_for_bytes(32 * GIB) / 1e9
         )
         assert model.crash_probability(task) == pytest.approx(expected, rel=1e-6)
+        # Crash and SDC, down to the millisecond tasks every paper benchmark
+        # runs: a task shorter than 1 s must not read as fault-free.
+        for duration_s in (3600.0, 1.0, 1e-3):
+            task = make_task(0, size_bytes=32 * GIB, duration_s=duration_s)
+            rates = model.task_rates(task)
+            for probability, fit in (
+                (model.crash_probability, rates.crash_fit),
+                (model.sdc_probability, rates.sdc_fit),
+            ):
+                expected = 1.0 - math.exp(-fit_to_failures_per_second(fit) * duration_s)
+                got = probability(task)
+                assert got == pytest.approx(expected, rel=1e-9), (duration_s, fit)
+                assert got > 0.0, (duration_s, fit)
 
     def test_probability_zero_for_zero_duration(self):
         model = FailureModel()

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.analysis import runner
+from repro.analysis.experiments import SWEEP_POLICIES
 from repro.analysis.runner import (
     ExperimentEngine,
     clear_caches,
@@ -37,8 +38,8 @@ from repro.workloads import canonical_workload_name
 
 SCALE = 0.05
 
-#: One fast spec per registered cell kind (two where a parameter decides
-#: which graphs the cell reads).
+#: One fast spec per registered cell kind (one per policy where the cell
+#: selects with a named policy).
 FAST_SPECS = {
     "table1_row": [make_spec("table1_row", "cholesky", SCALE)],
     "fig3_cell": [make_spec("fig3_cell", "cholesky", SCALE, multiplier=10.0)],
@@ -57,7 +58,7 @@ FAST_SPECS = {
     ],
     "policy_cell": [
         make_spec("policy_cell", "stream", SCALE, policy=policy, multiplier=10.0)
-        for policy in ("app_fit", "top_fit")
+        for policy in SWEEP_POLICIES
     ],
     "workload_cell": [
         make_spec(
@@ -67,7 +68,7 @@ FAST_SPECS = {
             policy=policy,
             multiplier=10.0,
         )
-        for policy in ("app_fit", "random")
+        for policy in SWEEP_POLICIES
     ],
 }
 
@@ -120,6 +121,21 @@ def test_declared_graphs_are_the_graphs_the_cell_reads(spec, monkeypatch):
     monkeypatch.setattr(experiments, "compiled_sim_cache", recording)
     run_cell(spec)
     assert spec_graphs(spec) == read
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for specs in FAST_SPECS.values() for spec in specs],
+    ids=lambda spec: f"{spec.kind}-{spec.param('policy') or spec.benchmark}",
+)
+def test_fast_cells_build_no_object_graph(spec, monkeypatch):
+    import repro.analysis.experiments as experiments
+
+    def refuse(*key):
+        raise AssertionError(f"a fast {spec.kind} cell built the object graph {key}")
+
+    monkeypatch.setattr(experiments, "benchmark_graph", refuse)
+    run_cell(spec)
 
 
 def test_reference_specs_declare_no_graphs():

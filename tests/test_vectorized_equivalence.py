@@ -1,11 +1,12 @@
-"""Equivalence of the vectorized fast path and the scalar reference path.
+"""Equivalence of the compiled-graph fast path and the scalar reference path.
 
-The fast implementations (batch FIT estimation, the vectorized App_FIT sweep
-and the array-based simulator loop) are designed to mirror the scalar
-reference arithmetic operation for operation, so everything here asserts
-*exact* float equality — any drift means the two implementations diverged.
-Figure-level summaries are additionally checked through the public drivers,
-which exercises the experiment engine's fast/reference duality end to end.
+The fast implementations (FIT estimation from compiled byte arrays, the
+vectorized App_FIT sweep, the array baselines and the compiled-graph
+simulator) are designed to mirror the scalar reference arithmetic operation
+for operation, so everything here asserts *exact* float equality — any drift
+means the two implementations diverged.  Figure-level summaries are
+additionally checked through the public drivers, which exercises the
+experiment engine's fast/reference duality end to end.
 """
 
 import time
@@ -16,24 +17,23 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
+    SWEEP_POLICIES,
     _appfit_threshold,
     _appfit_threshold_compiled,
     _distributed_benchmark,
+    ablation_policies,
     figure3_appfit,
     figure4_overheads,
     figure5_scalability_shared,
+    sweep_policies,
 )
 from repro.apps import create_benchmark
 from repro.apps.registry import all_benchmark_names, distributed_benchmark_names
 from repro.core.engine import decide_for_graph
 from repro.core.estimator import ArgumentSizeEstimator, estimate_total_fits
 from repro.core.heuristic import AppFit
-from repro.core.vectorized import (
-    compiled_total_fits,
-    decide_for_compiled,
-    decide_for_graph_fast,
-)
-from repro.faults.model import FailureModel
+from repro.core.policies import CompleteReplication, RandomReplication, TopFitReplication
+from repro.core.vectorized import compiled_total_fits, decide_baseline, decide_for_compiled
 from repro.faults.rates import FitRateSpec
 from repro.runtime.compiled import (
     ARRAY_FIELDS,
@@ -48,9 +48,9 @@ from repro.simulator.fastpath import (
     SimGraphCache,
     simulate_compiled,
     simulate_compiled_batch,
-    simulate_graph_fast,
 )
 from repro.simulator.machine import marenostrum_cluster, shared_memory_node
+from repro.util.rng import RngStream
 from repro.workloads import WorkloadBenchmark, family_names, parse_workload
 
 #: Small scale so all nine Table I graphs build in a few seconds.
@@ -66,60 +66,10 @@ def graphs():
     return built
 
 
-class TestBatchEstimation:
-    def test_fit_arrays_match_scalar_rates(self, graphs):
-        model = FailureModel(FitRateSpec().scaled(10.0))
-        for name, graph in graphs.items():
-            tasks = graph.tasks()
-            crash, sdc = model.task_fit_arrays(tasks)
-            for i, task in enumerate(tasks):
-                rates = model.task_rates(task)
-                assert crash[i] == rates.crash_fit, name
-                assert sdc[i] == rates.sdc_fit, name
-
-    def test_estimate_batch_matches_estimate(self, graphs):
-        estimator = ArgumentSizeEstimator(FitRateSpec().scaled(5.0))
-        for name, graph in graphs.items():
-            tasks = graph.tasks()
-            batch = estimate_total_fits(estimator, tasks)
-            for i, task in enumerate(tasks):
-                assert batch[i] == estimator.estimate(task).total_fit, name
-
-    def test_threshold_same_on_both_paths(self, graphs):
-        spec = FitRateSpec()
-        for name, graph in graphs.items():
-            assert _appfit_threshold(graph, spec, fast=True) == _appfit_threshold(
-                graph, spec, fast=False
-            ), name
-
-
-class TestAppFitSweepEquivalence:
-    @pytest.mark.parametrize("multiplier", [5.0, 10.0])
-    @pytest.mark.parametrize("residual", [0.0, 0.1])
-    def test_decisions_identical_across_all_benchmarks(self, graphs, multiplier, residual):
-        spec = FitRateSpec()
-        for name, graph in graphs.items():
-            threshold = _appfit_threshold(graph, spec)
-            estimator = ArgumentSizeEstimator(spec.scaled(multiplier))
-            policy = AppFit(threshold, len(graph), estimator, residual_fit_factor=residual)
-            ref = decide_for_graph(graph, policy)
-            ref_audit = policy.audit()
-            fast = decide_for_graph_fast(
-                graph, threshold, estimator, residual_fit_factor=residual
-            )
-            assert fast.replicated_ids == ref.replicated_ids, name
-            assert fast.task_fraction == ref.task_fraction, name
-            assert fast.time_fraction == ref.time_fraction, name
-            assert fast.total_duration_s == ref.total_duration_s, name
-            assert fast.audit.current_fit == ref_audit.current_fit, name
-            assert fast.audit.max_envelope_excess == ref_audit.max_envelope_excess, name
-            assert fast.audit.threshold_respected == ref_audit.threshold_respected, name
-
-
 class TestSimulatorEquivalence:
     def _compare(self, graph, machine, config, cache):
         ref = simulate_graph(graph, machine, config)
-        fast = simulate_graph_fast(graph, machine, config, cache=cache)
+        fast = simulate_compiled(cache, machine, config)
         assert fast.makespan_s == ref.makespan_s
         assert fast.total_work_s == ref.total_work_s
         assert fast.total_overhead_s == ref.total_overhead_s
@@ -175,19 +125,15 @@ class TestSimulatorEquivalence:
 
 
 class TestCompiledEquivalence:
-    """The compiled-graph path is a third spelling of the same arithmetic:
-    everything it produces must equal both the scalar reference and the
-    descriptor-walking fast path, bit for bit."""
+    """The compiled-graph path is the fast spelling of the same arithmetic:
+    everything it produces must equal the scalar reference, bit for bit."""
 
     def test_compiled_threshold_matches_both_paths(self, graphs):
         spec = FitRateSpec()
         for name, graph in graphs.items():
             compiled = compile_graph(graph)
             assert _appfit_threshold_compiled(compiled, spec) == _appfit_threshold(
-                graph, spec, fast=True
-            ), name
-            assert _appfit_threshold_compiled(compiled, spec) == _appfit_threshold(
-                graph, spec, fast=False
+                graph, spec
             ), name
 
     def test_compiled_fits_match_batch_estimation(self, graphs):
@@ -218,6 +164,7 @@ class TestCompiledEquivalence:
             assert fast.total_duration_s == ref.total_duration_s, name
             assert fast.audit.current_fit == ref_audit.current_fit, name
             assert fast.audit.max_envelope_excess == ref_audit.max_envelope_excess, name
+            assert fast.audit.threshold_respected == ref_audit.threshold_respected, name
 
     def test_compiled_rejects_descriptor_needing_estimators(self, graphs):
         from repro.core.estimator import TraceBasedEstimator
@@ -225,6 +172,30 @@ class TestCompiledEquivalence:
         compiled = compile_graph(graphs["cholesky"])
         with pytest.raises(TypeError):
             compiled_total_fits(TraceBasedEstimator(), compiled)
+
+
+class TestArrayBaselines:
+    """Each array baseline equals ``decide_for_graph`` with its descriptor
+    policy, at the budget edges (no draws at 0 and 1) and in between."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.37, 1.0])
+    def test_baselines_match_descriptor_policies(self, graphs, fraction):
+        estimator = ArgumentSizeEstimator(FitRateSpec().scaled(10.0))
+        for name, graph in graphs.items():
+            compiled = compile_graph(graph)
+            ids, durations = compiled.task_ids.tolist(), compiled.durations.tolist()
+            fits = compiled_total_fits(estimator, compiled)
+            for policy in (
+                TopFitReplication(fraction, estimator),
+                RandomReplication(fraction, rng=RngStream(13)),
+                CompleteReplication(),
+            ):
+                ref = decide_for_graph(graph, policy)
+                fast = decide_baseline(policy.name, ids, fits, durations, fraction, 13)
+                assert fast.replicated_ids == ref.replicated_ids, (name, policy.name)
+                assert fast.task_fraction == ref.task_fraction, (name, policy.name)
+                assert fast.time_fraction == ref.time_fraction, (name, policy.name)
+                assert fast.total_duration_s == ref.total_duration_s, (name, policy.name)
 
 
 class TestDriverEquivalence:
@@ -253,6 +224,27 @@ class TestDriverEquivalence:
         )
         fast = figure5_scalability_shared(fast=True, **kwargs)
         ref = figure5_scalability_shared(fast=False, **kwargs)
+        assert fast.rows == ref.rows
+
+    def test_sweep_policies_rows(self):
+        kwargs = dict(
+            benchmarks=all_benchmark_names(),
+            policies=SWEEP_POLICIES,
+            multipliers=(10.0,),
+            scale=SCALE,
+            residual_fit_factor=0.1,
+            parallelism=1,
+        )
+        fast = sweep_policies(fast=True, **kwargs)
+        ref = sweep_policies(fast=False, **kwargs)
+        assert len(fast.rows) == len(all_benchmark_names()) * len(SWEEP_POLICIES)
+        assert fast.rows == ref.rows
+
+    def test_ablation_policies_rows(self):
+        kwargs = dict(scale=SCALE, benchmarks=all_benchmark_names(), parallelism=1)
+        fast = ablation_policies(fast=True, **kwargs)
+        ref = ablation_policies(fast=False, **kwargs)
+        assert len(fast.rows) == 5 * len(all_benchmark_names())
         assert fast.rows == ref.rows
 
 

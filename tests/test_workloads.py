@@ -19,7 +19,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import workload_sweep
+from repro.analysis.experiments import SWEEP_POLICIES, workload_sweep
 from repro.analysis.runner import ExperimentEngine, clear_caches, configure_graph_cache
 from repro.analysis.store import ResultStore
 from repro.apps import create_benchmark
@@ -330,7 +330,7 @@ class TestWorkloadCells:
     def test_fast_and_reference_rows_are_identical(self):
         kwargs = dict(
             workloads=(SMALL_SPECS[0],),
-            policies=("app_fit", "top_fit", "complete"),
+            policies=SWEEP_POLICIES,
             multipliers=(10.0,),
             fault_rates=(0.0, 0.02),
             scale=1.0,
@@ -340,7 +340,7 @@ class TestWorkloadCells:
         fast = workload_sweep(fast=True, **kwargs)
         clear_caches()
         ref = workload_sweep(fast=False, **kwargs)
-        assert len(fast.rows) == len(ref.rows) == 6
+        assert len(fast.rows) == len(ref.rows) == 2 * len(SWEEP_POLICIES)
         for f, r in zip(fast.rows, ref.rows):
             assert f == r
 
