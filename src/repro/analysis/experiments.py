@@ -22,7 +22,11 @@ by an :class:`~repro.analysis.runner.ExperimentEngine`:
   (benchmark, scale, node count), so a graph is built once per run instead of
   once per policy x rate cell; each ``@cell_kind`` declares the keys its
   fast-path cells read, so a parallel map builds each missing graph once
-  before it sends the cells.
+  before it sends the cells;
+* consecutive cells on one graph run as one group, and a cell takes what
+  its group has already computed alike (the sweeps' App_FIT selection and
+  unreplicated baseline) from
+  :func:`~repro.analysis.runner.group_shared`.
 
 Cell payloads are plain row dictionaries, so results are identical for any
 parallelism and worker scheduling order.
@@ -31,7 +35,7 @@ parallelism and worker scheduling order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.runner import (
     ExperimentEngine,
@@ -42,7 +46,9 @@ from repro.analysis.runner import (
     cell_kind,
     compiled_sim_cache,
     derive_seed,
+    group_shared,
     make_spec,
+    spec_without,
 )
 from repro.apps.base import Benchmark
 from repro.apps.linpack import LinpackBenchmark
@@ -115,9 +121,11 @@ def _seed_makespans(cache, graph, machine, config, seeds, fast) -> List[float]:
     """Per-seed makespans of one cell simulation, one entry per fault seed.
 
     The fast path replays every seed as one batch over the shared replay
-    arrays (:func:`simulate_compiled_batch`); the reference path loops the
-    scalar simulator.  Both run seed ``s`` with ``replace(config, seed=s)``,
-    so lane ``j`` is bit-identical to the corresponding single-seed run.
+    arrays (:func:`simulate_compiled_batch`), or only the first seed when
+    the config draws no fault (probabilities of 0 or 1 give every seed the
+    same makespan); the reference path loops the scalar simulator.  Both
+    run seed ``s`` with ``replace(config, seed=s)``, so lane ``j`` is
+    bit-identical to the corresponding single-seed run.
     """
     if fast:
         sims = simulate_compiled_batch(cache, machine, config, seeds=seeds)
@@ -739,7 +747,7 @@ class AblationPoliciesResult:
 
 #: One policy's selection in a cell: (replicated ids, task fraction, time
 #: fraction, unprotected FIT).
-PolicySelection = Tuple[Set[int], float, float, float]
+PolicySelection = Tuple[FrozenSet[int], float, float, float]
 
 
 def _baseline_policy(
@@ -771,7 +779,8 @@ def _select(
     selections.  The budget-bounded baselines (``top_fit``, ``random``) reuse
     App_FIT's replica budget (its task fraction), so comparisons isolate
     *selection quality* from budget size; App_FIT is decided only when a
-    requested policy needs it.
+    requested policy needs it, and once per group of cells that differ only
+    in params it does not read (:func:`group_shared`), such as the policy.
     """
     rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
     residual: float = spec.param("residual_fit_factor", 0.0)
@@ -814,20 +823,27 @@ def _select(
         def unprotected(chosen):
             return _unprotected_fit(graph, chosen, scaled_spec)
 
-    appfit_dec = app_fit() if {"app_fit", "top_fit", "random"} & set(policies) else None
-    budget = appfit_dec.task_fraction if appfit_dec else None
+    def chosen_by(dec):
+        return frozenset(dec.replicated_ids), dec.task_fraction, dec.time_fraction
+
+    appfit = None
+    if {"app_fit", "top_fit", "random"} & set(policies):
+        appfit = group_shared(
+            ("app_fit", spec_without(spec, "policy", "fault_rate", "n_seeds", "cores")),
+            lambda: chosen_by(app_fit()),
+        )
+    budget = appfit[1] if appfit else None
     selections: Dict[str, PolicySelection] = {}
     for name in policies:
         if name == "knapsack_oracle":
             sol = solve(KnapsackOracle(threshold, estimator))
             chosen = (
-                sol.replicate_ids,
+                frozenset(sol.replicate_ids),
                 sol.replication_task_fraction,
                 sol.replication_time_fraction,
             )
         else:
-            dec = appfit_dec if name == "app_fit" else baseline(name, budget)
-            chosen = (dec.replicated_ids, dec.task_fraction, dec.time_fraction)
+            chosen = appfit if name == "app_fit" else chosen_by(baseline(name, budget))
         selections[name] = chosen + (unprotected(chosen[0]),)
     return n_tasks, threshold, selections
 
@@ -1151,6 +1167,11 @@ def _workload_cell(spec: ExperimentSpec) -> ExperimentRow:
     and the replays run on that graph too, so a fast cell reads nothing else;
     a reference cell walks the descriptors and the scalar simulator.  Fast
     and reference rows are bit-identical.
+
+    Within a group of cells on one workload (:func:`group_shared`), the
+    selection is made once per (policy, multiplier), whatever the fault
+    rate, and the unreplicated baseline is replayed once per fault rate,
+    whatever the policy and multiplier.
     """
     policy_name: str = spec.param("policy")
     fault_rate: float = spec.param("fault_rate", 0.0)
@@ -1162,12 +1183,25 @@ def _workload_cell(spec: ExperimentSpec) -> ExperimentRow:
         cache = compiled_sim_cache(spec.benchmark, spec.scale)
     else:
         graph = benchmark_graph(spec.benchmark, spec.scale)
-    n_tasks, threshold, selections = _select(spec, (policy_name,), cache)
-    replicated_ids, task_fraction, time_fraction, unprotected = selections[policy_name]
+
+    def select():
+        n_tasks, threshold, selections = _select(spec, (policy_name,), cache)
+        return n_tasks, threshold, selections[policy_name]
+
+    n_tasks, threshold, selection = group_shared(
+        ("select", spec_without(spec, "fault_rate", "n_seeds", "cores")), select
+    )
+    replicated_ids, task_fraction, time_fraction, unprotected = selection
     config = SimulationConfig(
         crash_probability=fault_rate, seed=spec.seed, collect_records=not spec.fast
     )
-    baseline_s = _mean(_seed_makespans(cache, graph, machine, config, seeds, spec.fast))
+    baseline_s = group_shared(
+        (
+            "baseline",
+            spec_without(spec, "policy", "multiplier", "rate_spec", "residual_fit_factor"),
+        ),
+        lambda: _mean(_seed_makespans(cache, graph, machine, config, seeds, spec.fast)),
+    )
     selective_s = _mean(
         _seed_makespans(
             cache,

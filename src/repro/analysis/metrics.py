@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.engine import ReplicationDecisions
 from repro.simulator.execution import SimulationResult

@@ -25,7 +25,9 @@ Key properties:
   ``with engine:``, or dropping the engine) shuts it down.  ``parallelism
   <= 1`` (or a grid with a single miss) runs inline, with the same
   memoisation, which is also the mode the portable figure drivers default to
-  on single-core machines.
+  on single-core machines.  Either way, consecutive cells on one graph run
+  as one group, sharing what they would compute alike
+  (:func:`group_shared`).
 * **Fast/reference duality** — ``fast=True`` (default) routes cells through
   the compiled-graph fast path (:mod:`repro.core.vectorized`,
   :mod:`repro.simulator.fastpath`), which reads only compiled graphs;
@@ -51,14 +53,26 @@ import os
 import threading
 import time
 import weakref
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.apps import create_benchmark
 from repro.apps.base import Benchmark
 from repro.obs.metrics import inc as metrics_inc
 from repro.obs.metrics import observe as metrics_observe
-from repro.obs.trace import active_tracer, configure_trace_root, trace_span
+from repro.obs.trace import Tracer, active_tracer, configure_trace_root, trace_span
 from repro.runtime.compiled import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
@@ -71,6 +85,8 @@ from repro.simulator.fastpath import SimGraphCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us)
     from repro.analysis.store import ResultStore
+
+T = TypeVar("T")
 
 # ---------------------------------------------------------------------------------
 # defaults / configuration
@@ -523,18 +539,129 @@ def _build_graph(key: GraphKey) -> None:
     compiled_sim_cache(*key)
 
 
-def _run_cell_timed(spec: ExperimentSpec, key: Optional[str]) -> Tuple[Any, float]:
-    """Run one cell and measure its wall time in-process (pool map target).
+# ---------------------------------------------------------------------------------
+# groups of cells on one graph, and the values they share
+# ---------------------------------------------------------------------------------
 
-    Pool workers execute this instead of bare :func:`run_cell` so per-cell
-    elapsed time is measured where the cell actually runs — the parent can't
-    observe it (cells overlap across workers).  The compute span is opened
-    here for the same reason: the worker process owns the cell's timeline.
-    ``key`` is the cell's store key (``None`` when the parent is not tracing),
-    so the span chains to the parent's ``cell.put`` of the same cell.
+#: The memo of the group this thread is running (``memo`` is ``None``
+#: outside a group), see :func:`group_shared`.  A cell takes only its spec,
+#: so the memo reaches it here; it is per thread, so a cell that another
+#: thread runs (a service worker's drain) never sees a group it is not in.
+_GROUP = threading.local()
+
+
+def group_shared(key: Hashable, compute: Callable[[], T]) -> T:
+    """``compute()``, computed once per key within the running group of cells.
+
+    Inside a group (:func:`_run_group`) the value is memoised under ``key``
+    in a dict that is created when the group starts and dropped when it
+    ends; outside one (a plain :func:`run_cell`, the service's lease drain)
+    this just calls ``compute()``.  Build ``key`` with :func:`spec_without`,
+    so every param the value may read is in it.  Shared values are handed to
+    every cell of the group, so they must be read-only: frozensets, tuples
+    and numbers.
+    """
+    memo = getattr(_GROUP, "memo", None)
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def spec_without(spec: ExperimentSpec, *unread: str) -> ExperimentSpec:
+    """``spec`` minus the params ``unread``: the key of a value that reads none of them.
+
+    Naming what a value does *not* read means a param added later lands in
+    the key by default.
+    """
+    return replace(spec, params=tuple(p for p in spec.params if p[0] not in unread))
+
+
+#: One cell to compute: its index in the map's specs and its store key.
+Todo = Tuple[int, Optional[str]]
+
+
+def _cell_groups(
+    specs: Sequence[ExperimentSpec], todo: List[Todo], workers: int
+) -> List[List[Todo]]:
+    """``todo`` cut into groups: runs of consecutive cells on one graph.
+
+    A group is a maximal run of cells whose declared graphs
+    (:func:`spec_graphs`) are equal and non-empty, cut into pieces of at
+    most ``ceil(len(todo) / workers)`` cells so that no worker idles that a
+    map of single cells would have used.  A cell that declares no graph is
+    a group of its own.
+    """
+    cap = -(-len(todo) // max(1, workers))
+    groups: List[List[Todo]] = []
+    previous: List[GraphKey] = []
+    for item in todo:
+        graphs = spec_graphs(specs[item[0]])
+        if graphs and graphs == previous and len(groups[-1]) < cap:
+            groups[-1].append(item)
+        else:
+            groups.append([item])
+        previous = graphs
+    return groups
+
+
+def _largest_first(
+    specs: Sequence[ExperimentSpec], groups: List[List[Todo]]
+) -> List[List[Todo]]:
+    """``groups`` in the order the pool runs them: the largest first.
+
+    A group's size is its cell count times the bytes of the stored compiled
+    graphs it declares.  A worker takes the next group when it finishes one,
+    so sending the large groups first leaves the small ones to fill in at
+    the end of the map (longest processing time first): no large group runs
+    alone there while the other workers idle, or on a worker that runs
+    slower than the others.  Equal sizes keep spec order, as does every
+    group without the store.
+    """
+    if not graph_cache_enabled():
+        return groups
+    store = CompiledGraphStore(graph_cache_root())
+
+    def size(group: List[Todo]) -> int:
+        paths = [store.path_for(store.key(*key)) for key in spec_graphs(specs[group[0][0]])]
+        return len(group) * sum(os.path.getsize(p) for p in paths if os.path.exists(p))
+
+    return sorted(groups, key=size, reverse=True)
+
+
+def _run_group(
+    cells: Sequence[Tuple[ExperimentSpec, Optional[str]]], tracer: Optional[Tracer] = None
+) -> List[Tuple[Any, float]]:
+    """Run one group's ``(spec, key)`` cells in order; their payloads and times.
+
+    The pool task of a parallel map, and the serial map's loop body.  The
+    cells share values through :func:`group_shared` for as long as the group
+    runs, and nothing after it.
+    """
+    outer = getattr(_GROUP, "memo", None)
+    _GROUP.memo = {}
+    try:
+        return [_run_cell_timed(spec, key, tracer) for spec, key in cells]
+    finally:
+        _GROUP.memo = outer
+
+
+def _run_cell_timed(
+    spec: ExperimentSpec, key: Optional[str], tracer: Optional[Tracer] = None
+) -> Tuple[Any, float]:
+    """Run one cell and measure its wall time in-process.
+
+    Per-cell elapsed time is measured where the cell actually runs — in a
+    pool worker the parent can't observe it (cells overlap across workers).
+    The compute span is opened here for the same reason: the worker process
+    owns the cell's timeline.  ``tracer`` defaults to the process's own (the
+    serial map passes the engine's).  ``key`` is the cell's store key
+    (``None`` when the parent is not tracing), so the span chains to the
+    parent's ``cell.put`` of the same cell.
     """
     with trace_span(
-        active_tracer(),
+        tracer if tracer is not None else active_tracer(),
         "cell.compute",
         key,
         cell_kind=spec.kind,
@@ -576,6 +703,14 @@ class ExperimentEngine:
     graphs those workers hold.  :meth:`close` (or leaving a ``with engine:``
     block) shuts the pool down; an engine dropped without either shuts it
     down when it is collected, and waits for the workers to exit.
+
+    Serial and parallel maps run the misses the same way: as groups of
+    consecutive cells that read one graph, each group run by
+    :func:`_run_group` in one process.  The cells of a group share the
+    values they compute alike through :func:`group_shared` (a workload
+    sweep's App_FIT selection and unreplicated baseline), and a shared value
+    is dropped when its group ends.  A cell's ``elapsed_s`` includes the
+    shared values it computed first, and none of those it was handed.
     """
 
     def __init__(
@@ -625,10 +760,15 @@ class ExperimentEngine:
     def map(self, specs: Sequence[ExperimentSpec]) -> List[Any]:
         """Run every cell and return their payloads in spec order.
 
-        With ``parallelism > 1`` the cache misses are distributed over the
-        engine's process pool; results are re-assembled in submission order,
-        so callers see the same sequence for any parallelism and any cache
-        temperature.
+        The cache misses run in groups of consecutive cells on one graph
+        (see :func:`_cell_groups`): in-process and in spec order with
+        ``parallelism <= 1``, otherwise one pool task per group, the
+        largest groups first (see :func:`_largest_first`).  Results are
+        re-assembled in submission order, so callers see the same sequence
+        for any parallelism and any cache temperature; progress events
+        arrive one group at a time, in the order the groups run.  A cell
+        that raises fails the map, and the cells of its group that finished
+        before it are not stored.
         """
         specs = list(specs)
         total = len(specs)
@@ -654,30 +794,18 @@ class ExperimentEngine:
                 else:
                     missing.append(i)
 
-            # Compute the misses (serially or over the pool) and persist them.
-            # Store keys name the compute spans, so only a traced run needs them.
-            keys = [
-                self.store.key(specs[i])
-                if tracer is not None and self.store is not None
-                else None
-                for i in missing
-            ]
+            # Compute the misses (serially or over the pool), one group of
+            # cells on a graph at a time, and persist them.  Store keys name
+            # the compute spans, so only a traced run needs them.
+            traced = tracer is not None and self.store is not None
+            todo = [(i, self.store.key(specs[i]) if traced else None) for i in missing]
             workers = min(self.parallelism, len(missing))
             if workers <= 1:
-                for i, key in zip(missing, keys):
-                    with trace_span(
-                        tracer,
-                        "cell.compute",
-                        key,
-                        cell_kind=specs[i].kind,
-                        benchmark=specs[i].benchmark,
-                    ):
-                        t0 = time.perf_counter()
-                        payloads[i] = run_cell(specs[i])
-                        elapsed = time.perf_counter() - t0
-                    self._record(specs[i], payloads[i], i, total, elapsed)
+                for group in _cell_groups(specs, todo, workers):
+                    outcomes = _run_group([(specs[i], key) for i, key in group], tracer)
+                    self._record_group(specs, group, outcomes, payloads)
             else:
-                self._map_pooled(specs, list(zip(missing, keys)), payloads, workers)
+                self._map_pooled(specs, todo, payloads, workers)
 
             map_span.set(computed=len(missing), cached=total - len(missing))
 
@@ -687,14 +815,16 @@ class ExperimentEngine:
     def _map_pooled(
         self,
         specs: List[ExperimentSpec],
-        todo: List[Tuple[int, Optional[str]]],
+        todo: List[Todo],
         payloads: List[Any],
         workers: int,
     ) -> None:
-        """Compute the ``(index, key)`` cells of ``todo`` on the pool, in order.
+        """Compute the ``(index, key)`` cells of ``todo`` on the pool.
 
         The graphs the cells declare that the compiled-graph store lacks are
         built first, one pool task each, so no two workers build one graph.
+        Then each group of cells (see :func:`_cell_groups`) is one pool task,
+        sent largest first and recorded as the pool returns it.
         A pool that broke (a worker died) is replaced and the cells not yet
         recorded are resubmitted once: a cell is a pure function of its spec,
         and only the parent records results.
@@ -704,29 +834,42 @@ class ExperimentEngine:
         # concurrent.futures/multiprocessing import.
         from concurrent.futures.process import BrokenProcessPool
 
-        total = len(payloads)
         retried = False
+        recorded: Set[int] = set()
         while True:
             pool = self._pool_for(workers)
-            cells = [specs[i] for i, _ in todo]
-            done = 0
             try:
+                cells = [specs[i] for i, _ in todo]
                 list(pool.map(_build_graph, self._missing_graphs(cells)))
+                groups = _largest_first(specs, _cell_groups(specs, todo, workers))
                 # Per-cell wall time is measured inside each worker (the
                 # parent can't observe it — cells overlap across workers),
                 # so records carry the true in-process compute cost.
-                results = pool.map(_run_cell_timed, cells, [key for _, key in todo])
-                for (i, _), (payload, elapsed) in zip(todo, results):
-                    payloads[i] = payload
-                    self._record(specs[i], payload, i, total, elapsed)
-                    done += 1
+                results = pool.map(
+                    _run_group, [[(specs[i], key) for i, key in group] for group in groups]
+                )
+                for group, outcomes in zip(groups, results):
+                    self._record_group(specs, group, outcomes, payloads)
+                    recorded.update(i for i, _ in group)
                 return
             except BrokenProcessPool:
                 if retried:
                     raise
                 retried = True
                 self.close()
-                todo = todo[done:]
+                todo = [item for item in todo if item[0] not in recorded]
+
+    def _record_group(
+        self,
+        specs: List[ExperimentSpec],
+        group: List[Todo],
+        outcomes: List[Tuple[Any, float]],
+        payloads: List[Any],
+    ) -> None:
+        """Record one computed group's cells, in spec order."""
+        for (i, _), (payload, elapsed) in zip(group, outcomes):
+            payloads[i] = payload
+            self._record(specs[i], payload, i, len(payloads), elapsed)
 
     def _pool_for(self, workers: int) -> Any:
         """The engine's process pool, forked on first use and then kept.

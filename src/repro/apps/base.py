@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.runtime.graph import TaskGraph
 from repro.runtime.runtime import TaskRuntime

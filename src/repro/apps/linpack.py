@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.apps import kernels
 from repro.apps.base import Benchmark
 from repro.distributed.mapping import BlockCyclicMapping

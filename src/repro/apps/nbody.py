@@ -9,10 +9,6 @@ communication in the simulator.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
-
 from repro.apps import kernels
 from repro.apps.base import Benchmark
 from repro.runtime.runtime import TaskRuntime

@@ -10,8 +10,6 @@ whose reliability impact is much higher" the paper calls out for Perlin).
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.apps import kernels

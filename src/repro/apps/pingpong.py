@@ -9,8 +9,6 @@ measures how well the runtime (and replication) tolerates communication.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.apps import kernels
 from repro.apps.base import Benchmark
 from repro.runtime.runtime import TaskRuntime

@@ -10,8 +10,6 @@ replication.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.apps import kernels

@@ -51,7 +51,6 @@ from repro.analysis.runner import (
 from repro.analysis.store import ResultStore, code_version
 from repro.analysis.targets import (
     TARGETS,
-    Target,
     TargetOutput,
     render_artifact_texts,
     resolve_targets,

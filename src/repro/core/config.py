@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.util.validation import check_non_negative, check_probability
+from repro.util.validation import check_probability
 
 
 @dataclass

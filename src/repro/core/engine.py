@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.config import ReplicationConfig
 from repro.core.heuristic import AppFit, SelectionDecision, SelectionPolicy
 from repro.core.replication import ReplicationOutcome, TaskReplicator
-from repro.runtime.events import EventKind, EventLog
+from repro.runtime.events import EventLog
 from repro.runtime.graph import TaskGraph
 from repro.runtime.task import TaskDescriptor
 

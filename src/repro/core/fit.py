@@ -16,7 +16,7 @@ paper stresses that the check is performed atomically.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.util.validation import check_non_negative, check_positive_int

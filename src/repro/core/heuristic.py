@@ -18,7 +18,7 @@ profiling pre-run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.estimator import ArgumentSizeEstimator, FailureRateEstimator
 from repro.core.fit import FitAccount, FitAudit

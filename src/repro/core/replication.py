@@ -30,7 +30,7 @@ bytes, so in-place updates cannot be double-applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.faults.errors import ErrorClass, FaultEvent
 from repro.faults.injector import FaultInjector
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.executor import task_write_views
-from repro.runtime.task import Direction, TaskDescriptor
+from repro.runtime.task import TaskDescriptor
 from repro.util.rng import RngStream
 
 

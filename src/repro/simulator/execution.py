@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.faults.injector import FaultInjector
 from repro.runtime.compiled import edge_comm_bytes
 from repro.runtime.graph import TaskGraph
 from repro.runtime.task import TaskDescriptor

@@ -298,24 +298,56 @@ def simulate_compiled_batch(
     ``j`` is bit-identical to
     ``simulate_compiled(cache, machine, replace(config, seed=seeds[j]))``, so
     results do not depend on batch composition or seed order.
+
+    A batch that draws nothing (crash and SDC probabilities each 0 or 1)
+    comes out the same for every seed, so only ``seeds[0]`` is replayed, on
+    either backend; every other lane is a copy of it with its own
+    ``config.seed`` and, when records are collected, its own records.
     """
     config = config if config is not None else SimulationConfig()
     seeds = list(seeds)
     if not seeds:
         return []
+    replayed = seeds[:1] if _draws_nothing(config) else seeds
     chosen = _backends.resolve_backend(backend)
     with trace_span(
         active_tracer(),
         "sim.dispatch",
         backend=chosen.name,
         tasks=cache.n,
-        lanes=len(seeds),
+        lanes=len(replayed),
     ):
         if chosen.name == "python" or cache.n == 0:
-            return [
-                _simulate_python(cache, machine, replace(config, seed=int(s))) for s in seeds
+            results = [
+                _simulate_python(cache, machine, replace(config, seed=int(s)))
+                for s in replayed
             ]
-        return _replay_kernel_batch(cache, machine, config, seeds, chosen)
+        else:
+            results = _replay_kernel_batch(cache, machine, config, replayed, chosen)
+    return results + [_reseeded(results[0], s) for s in seeds[len(replayed):]]
+
+
+def _draws_nothing(config: SimulationConfig) -> bool:
+    """Whether a replay of ``config`` draws no uniform, whatever its seed.
+
+    Draws happen only for probabilities strictly inside (0, 1): this is the
+    case in which :func:`_max_draws` is 0 and :func:`_simulate_python` never
+    calls its stream.
+    """
+    return not (0.0 < config.crash_probability < 1.0 or 0.0 < config.sdc_probability < 1.0)
+
+
+def _reseeded(result: SimulationResult, seed: int) -> SimulationResult:
+    """``result`` as the lane of ``seed`` in a batch that draws nothing.
+
+    The lane gets its own config and its own copies of the task records, as
+    a replay of that seed would.
+    """
+    return replace(
+        result,
+        config=replace(result.config, seed=int(seed)),
+        records={tid: replace(rec) for tid, rec in result.records.items()},
+    )
 
 
 def _max_draws(n_replicated: int, n_plain: int, config: SimulationConfig) -> int:

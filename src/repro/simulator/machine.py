@@ -10,7 +10,7 @@ not, so they are kept realistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.validation import check_non_negative, check_positive, check_positive_int
 

@@ -12,6 +12,7 @@ from repro.analysis.experiments import (
     figure3_appfit,
     figure5_scalability_shared,
     figure6_scalability_distributed,
+    workload_sweep,
 )
 from repro.analysis.runner import (
     ExperimentEngine,
@@ -106,13 +107,27 @@ class TestParallelismIndependence:
                     seed=3,
                 ),
             ),
+            (
+                workload_sweep,
+                dict(
+                    workloads=(
+                        "layered:depth=6,width=4,seed=1",
+                        "erdos:tasks=24,p=0.15,seed=3",
+                    ),
+                    policies=("app_fit", "top_fit"),
+                    multipliers=(10.0, 5.0),
+                    fault_rates=(0.0, 0.05),
+                    n_seeds=3,
+                ),
+            ),
         ],
-        ids=["fig3", "fig6"],
+        ids=["fig3", "fig6", "workload_sweep"],
     )
     def test_pooled_rows_identical_with_graph_cache(self, tmp_path, driver, kwargs):
         """With the compiled-graph store on, a pooled map builds its graphs
-        first, one pool task each; rows still equal the serial run's.  Each
-        run starts from an empty store root."""
+        first, one pool task each; rows still equal the serial run's, though
+        the pooled map cuts each workload's cells into smaller groups that
+        share less.  Each run starts from an empty store root."""
         try:
             configure_graph_cache(enabled=True, root=str(tmp_path / "serial"))
             serial = driver(parallelism=1, **kwargs)

@@ -1,17 +1,21 @@
-"""The engine's worker pool and its one-build-per-graph rule.
+"""The engine's worker pool, its one-build-per-graph rule and its groups.
 
 An :class:`ExperimentEngine` forks one process pool at its first parallel
 map and keeps it for every later map, and each compiled graph is built once
 per run: a parallel map builds the graphs its cells declare before it sends
 them, and threads of one process that miss the same graph wait for one
-build.  These tests pin the declarations against what the cells read, the
-build counts, and the pool's lifecycle (reuse, close, drop, a killed worker).
+build.  Consecutive cells on one graph run as one group, serially or as one
+pool task, and share values only within it.  These tests pin the
+declarations against what the cells read, the build counts, the groups and
+what they share, and the pool's lifecycle (reuse, close, drop, a killed
+worker).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import secrets
 import signal
 import sys
 import threading
@@ -20,9 +24,11 @@ import time
 import pytest
 
 from repro.analysis import runner
-from repro.analysis.experiments import SWEEP_POLICIES
+from repro.analysis.experiments import SWEEP_POLICIES, sweep_policies
 from repro.analysis.runner import (
     ExperimentEngine,
+    _cell_groups,
+    _largest_first,
     clear_caches,
     compiled_sim_cache,
     configure_graph_cache,
@@ -31,9 +37,12 @@ from repro.analysis.runner import (
     run_cell,
     spec_graphs,
 )
+from repro.analysis.store import ResultStore
 from repro.cli import main
 from repro.obs.report import read_trace
 from repro.runtime.compiled import CompiledGraphStore
+from repro.serve.leases import LeaseHeartbeat, LeaseStore
+from repro.serve.workers import LeaseDrainEngine
 from repro.workloads import canonical_workload_name
 
 SCALE = 0.05
@@ -234,6 +243,166 @@ def test_cli_run_builds_each_graph_once_on_one_pool(tmp_path, monkeypatch):
     assert computed
     assert len({r["pid"] for r in computed}) <= 2
     assert os.getpid() not in {r["pid"] for r in computed}
+
+
+# ---------------------------------------------------------------------------------
+# groups of cells on one graph, and the values they share
+# ---------------------------------------------------------------------------------
+
+#: The graphs a probe cell may declare, by letter.
+PROBE_GRAPHS = {
+    "a": ("cholesky", SCALE, None),
+    "b": ("stream", SCALE, None),
+    "c": ("fft", SCALE, None),
+}
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """A ``group_probe`` cell kind, registered for one test; a spec maker.
+
+    ``probe(graphs, i)`` is the ``i``-th probe cell, declaring the graphs its
+    letters name.  The cell returns a token it gets from
+    :func:`runner.group_shared`, so cells with equal tokens ran in one group;
+    ``probe.computed`` counts the tokens computed in this process.
+    """
+    computed = []
+
+    def cell(spec):
+        def compute():
+            computed.append(spec)
+            return secrets.token_hex(8)
+
+        return runner.group_shared("token", compute)
+
+    def graphs(spec):
+        return [PROBE_GRAPHS[letter] for letter in spec.param("graphs")]
+
+    # Registered before any pool forks, so pool workers know the kind too.
+    monkeypatch.setitem(runner._CELL_KINDS, "group_probe", cell)
+    monkeypatch.setitem(runner._CELL_GRAPHS, "group_probe", graphs)
+
+    def make(graphs, i):
+        return make_spec("group_probe", "probe", SCALE, seed=i, graphs=tuple(graphs))
+
+    make.computed = computed
+    return make
+
+
+def _partition(tokens):
+    """Cell indices grouped by the token they returned, in order."""
+    groups = {}
+    for i, token in enumerate(tokens):
+        groups.setdefault(token, []).append(i)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("n_todo, workers", [(7, 1), (7, 2), (7, 3), (2, 2), (1, 2)])
+def test_no_group_exceeds_an_even_share_of_the_cells_to_compute(probe, n_todo, workers):
+    specs = [probe("a", i) for i in range(n_todo)]
+    todo = [(i, None) for i in range(n_todo)]
+    groups = _cell_groups(specs, todo, workers)
+    cap = -(-n_todo // workers)
+    assert [item for group in groups for item in group] == todo
+    assert all(len(group) == cap for group in groups[:-1])
+    assert 0 < len(groups[-1]) <= cap
+
+
+def test_the_cap_counts_only_the_cells_to_compute(probe, tmp_path):
+    specs = [probe("a", i) for i in range(4)]
+    store = ResultStore(str(tmp_path))
+    ExperimentEngine(parallelism=1, store=store).map(specs[:2])
+    with ExperimentEngine(parallelism=2, store=store) as engine:
+        tokens = engine.map(specs)
+    assert engine.last_stats == (2, 2)
+    # Two cells to compute on two workers: one cell per group.
+    assert tokens[2] != tokens[3]
+
+
+def test_serial_and_pooled_maps_form_the_same_groups(probe):
+    """A group is a run of consecutive cells that declare the same graphs:
+    it never mixes graphs, and a cell that declares none runs alone."""
+    letters = ["a", "a", "b", "b", "", "", "c", "c", "ab", "ab", "a"]
+    specs = [probe(g, i) for i, g in enumerate(letters)]
+    serial = _partition(ExperimentEngine(parallelism=1).map(specs))
+    with ExperimentEngine(parallelism=2) as engine:
+        pooled = _partition(engine.map(specs))
+    assert serial == pooled == [[0, 1], [2, 3], [4], [5], [6, 7], [8, 9], [10]]
+
+
+def test_a_shared_value_is_recomputed_in_the_next_group(probe):
+    specs = [probe(g, i) for i, g in enumerate(["a", "a", "b", "a"])]
+    engine = ExperimentEngine(parallelism=1)
+    first = engine.map(specs)
+    assert len(probe.computed) == 3
+    assert first[0] == first[1] != first[3]
+    # Nothing outlives its group: a second map computes every value again.
+    second = engine.map(specs)
+    assert len(probe.computed) == 6
+    assert not set(first) & set(second)
+
+
+def test_a_cell_outside_any_group_computes_every_time(probe):
+    spec = probe("a", 0)
+    assert run_cell(spec) != run_cell(spec)
+    assert len(probe.computed) == 2
+
+
+def test_a_lease_drain_shares_nothing(probe, tmp_path):
+    leases = LeaseStore(str(tmp_path), owner="w", ttl_s=30.0)
+    engine = LeaseDrainEngine(
+        store=ResultStore(str(tmp_path)), leases=leases, heartbeat=LeaseHeartbeat(leases)
+    )
+    tokens = engine.map([probe("a", i) for i in range(3)])
+    assert len(set(tokens)) == 3
+    assert len(probe.computed) == 3
+
+
+def test_the_pool_takes_the_largest_groups_first(probe, tmp_path):
+    """A group's size is its cell count times the bytes of its stored graphs.
+    Equal sizes keep spec order, and so does every group without the store."""
+    letters = ["b", "a", "a", "c", "", "b", "b", "", "c"]
+    specs = [probe(g, i) for i, g in enumerate(letters)]
+    groups = _cell_groups(specs, [(i, None) for i in range(len(specs))], 1)
+    assert [[i for i, _ in group] for group in groups] == [
+        [0], [1, 2], [3], [4], [5, 6], [7], [8]
+    ]
+    engine = ExperimentEngine(parallelism=2)
+    assert _largest_first(specs, groups) == groups
+
+    configure_graph_cache(enabled=True, root=str(tmp_path))
+    store = CompiledGraphStore(str(tmp_path))
+    nbytes = {}
+    for letter, key in PROBE_GRAPHS.items():
+        compiled_sim_cache(*key)
+        nbytes[letter] = os.path.getsize(store.path_for(store.key(*key)))
+    ordered = _largest_first(specs, groups)
+    order = [group[0][0] for group in ordered]
+    sizes = [len(group) * sum(nbytes[c] for c in letters[group[0][0]]) for group in ordered]
+    assert sorted(ordered) == sorted(groups)
+    assert sizes == sorted(sizes, reverse=True)
+    assert order.index(3) < order.index(8) and order[-2:] == [4, 7]
+
+    serial = _partition(ExperimentEngine(parallelism=1).map(specs))
+    with engine:
+        assert _partition(engine.map(specs)) == serial
+
+
+def test_a_serial_policy_sweep_decides_app_fit_once(monkeypatch):
+    """``top_fit`` and ``random`` take App_FIT's budget from its cell."""
+    import repro.analysis.experiments as experiments
+
+    decided = []
+    real = experiments.decide_for_compiled
+
+    def counting(*args, **kwargs):
+        decided.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "decide_for_compiled", counting)
+    sweep = sweep_policies(["cholesky"], policies=SWEEP_POLICIES, scale=SCALE, parallelism=1)
+    assert len(sweep.rows) == len(SWEEP_POLICIES)
+    assert len(decided) == 1
 
 
 # ---------------------------------------------------------------------------------

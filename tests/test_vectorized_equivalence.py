@@ -10,6 +10,7 @@ experiment engine's fast/reference duality end to end.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -42,7 +43,7 @@ from repro.runtime.compiled import (
     compile_graph,
 )
 from repro.simulator import fastpath
-from repro.simulator.backend import BackendUnavailable, resolve_backend
+from repro.simulator.backend import BackendUnavailable, CExtBackend, resolve_backend
 from repro.simulator.execution import SimulationConfig, simulate_graph
 from repro.simulator.fastpath import (
     SimGraphCache,
@@ -275,6 +276,20 @@ def _backend_or_skip(name):
     return name
 
 
+@contextmanager
+def _kernel_lanes():
+    """The lane count of every C kernel call made inside the block."""
+    lanes = []
+    real = CExtBackend.run_batch
+
+    def spy(self, n_lanes, *args):
+        lanes.append(n_lanes)
+        return real(self, n_lanes, *args)
+
+    with mock.patch.object(CExtBackend, "run_batch", spy):
+        yield lanes
+
+
 #: The synthetic workload families (``trace`` needs an input file, so the
 #: parametric six are the batch-identity surface the ISSUE asks for).
 SYNTHETIC_FAMILIES = tuple(n for n in family_names() if n != "trace")
@@ -452,6 +467,51 @@ class TestBatchedSimulation:
                     cache, machine, config, seeds=_BATCH_SEEDS, backend=backend
                 )
         self._assert_lanes_match_scalar(cache, machine, config, _BATCH_SEEDS, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["python", "cext"])
+    @pytest.mark.parametrize(
+        "crash, sdc, replicate_all",
+        [(0.0, 0.0, False), (1.0, 0.0, False), (0.0, 1.0, False), (0.0, 0.0, True)],
+        ids=["none", "crash1", "sdc1", "none-replicate-all"],
+    )
+    def test_batch_that_draws_nothing_replays_one_lane(
+        self, graphs, backend, crash, sdc, replicate_all
+    ):
+        """Probabilities that are each 0 or 1 draw no uniform, so every seed
+        replays alike: the batch replays its first seed alone, and every lane
+        still matches its own scalar replay, with its own seed and records."""
+        _backend_or_skip(backend)
+        graph = graphs["cholesky"]
+        cache = SimGraphCache(graph)
+        machine = shared_memory_node(4)
+        config = SimulationConfig(
+            replicated_ids=None if replicate_all else set(graph.task_ids()[::3]),
+            replicate_all=replicate_all,
+            crash_probability=crash,
+            sdc_probability=sdc,
+            seed=0,
+        )
+        with _kernel_lanes() as lanes:
+            self._assert_lanes_match_scalar(cache, machine, config, _BATCH_SEEDS, backend)
+            batch = simulate_compiled_batch(
+                cache, machine, config, seeds=_BATCH_SEEDS, backend=backend
+            )
+        assert lanes == ([1, 1] if backend == "cext" else [])
+        assert [lane.config.seed for lane in batch] == _BATCH_SEEDS
+        assert all(len(lane.records) == len(graph) for lane in batch)
+        assert len({id(lane.records) for lane in batch}) == len(batch)
+        first = graph.task_ids()[0]
+        assert len({id(lane.records[first]) for lane in batch}) == len(batch)
+
+    def test_batch_that_draws_sends_every_lane_to_the_kernel(self, graphs):
+        _backend_or_skip("cext")
+        cache = SimGraphCache(graphs["cholesky"])
+        config = SimulationConfig(crash_probability=0.05, seed=0)
+        with _kernel_lanes() as lanes:
+            self._assert_lanes_match_scalar(
+                cache, shared_memory_node(4), config, _BATCH_SEEDS, "cext"
+            )
+        assert lanes == [len(_BATCH_SEEDS)]
 
     @pytest.mark.parametrize("name", ["numba", "pykernel"])
     def test_retired_backend_names_raise(self, monkeypatch, name):

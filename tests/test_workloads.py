@@ -326,23 +326,86 @@ class TestCrossProcessDeterminism:
 # ---------------------------------------------------------------------------------
 
 
+def _assert_fast_rows_equal_reference(**kwargs):
+    kwargs = dict(kwargs, scale=1.0, seed=3, parallelism=1)
+    fast = workload_sweep(fast=True, **kwargs)
+    clear_caches()
+    ref = workload_sweep(fast=False, **kwargs)
+    n_cells = (
+        len(kwargs["workloads"])
+        * len(kwargs["policies"])
+        * len(kwargs["multipliers"])
+        * len(kwargs["fault_rates"])
+    )
+    assert len(fast.rows) == len(ref.rows) == n_cells
+    for f, r in zip(fast.rows, ref.rows):
+        assert f == r
+
+
 class TestWorkloadCells:
     def test_fast_and_reference_rows_are_identical(self):
-        kwargs = dict(
+        _assert_fast_rows_equal_reference(
             workloads=(SMALL_SPECS[0],),
             policies=SWEEP_POLICIES,
             multipliers=(10.0,),
             fault_rates=(0.0, 0.02),
-            scale=1.0,
-            seed=3,
+        )
+
+    def test_fast_rows_that_share_within_groups_equal_the_reference(self):
+        """Fast cells share selections and baselines within their group;
+        reference cells declare no graph, so they run alone and share nothing."""
+        _assert_fast_rows_equal_reference(
+            workloads=SMALL_SPECS[:2],
+            policies=("app_fit", "top_fit"),
+            multipliers=(10.0, 5.0),
+            fault_rates=(0.0, 0.05),
+            n_seeds=3,
+        )
+
+    def test_a_serial_sweep_selects_and_replays_each_distinct_value_once(self, monkeypatch):
+        """One workload at two multipliers and three fault rates, 8 seeds: App_FIT
+        is decided once per multiplier, the baseline replayed once per fault
+        rate, and a fault-free batch replays one lane.  That is 2 decisions
+        (6 without sharing), 3 baseline + 6 selective kernel calls, and
+        1 + 2*8 + 2 + 4*8 = 51 lanes (96 without)."""
+        import repro.analysis.experiments as experiments
+        from repro.simulator.backend import (
+            BackendUnavailable,
+            CExtBackend,
+            reset_backends,
+            resolve_backend,
+        )
+
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "cext")
+        reset_backends()
+        try:
+            resolve_backend()
+        except BackendUnavailable as exc:
+            pytest.skip(f"cext backend unavailable: {exc}")
+        decided, lanes = [], []
+        real_decide, real_run = experiments.decide_for_compiled, CExtBackend.run_batch
+
+        def decide(*args, **kwargs):
+            decided.append(args[0])
+            return real_decide(*args, **kwargs)
+
+        def run_batch(self, n_lanes, *args):
+            lanes.append(n_lanes)
+            return real_run(self, n_lanes, *args)
+
+        monkeypatch.setattr(experiments, "decide_for_compiled", decide)
+        monkeypatch.setattr(CExtBackend, "run_batch", run_batch)
+        result = workload_sweep(
+            workloads=(ACCEPT_SPEC,),
+            multipliers=(10.0, 5.0),
+            fault_rates=(0.0, 0.01, 0.05),
+            n_seeds=8,
             parallelism=1,
         )
-        fast = workload_sweep(fast=True, **kwargs)
-        clear_caches()
-        ref = workload_sweep(fast=False, **kwargs)
-        assert len(fast.rows) == len(ref.rows) == 2 * len(SWEEP_POLICIES)
-        for f, r in zip(fast.rows, ref.rows):
-            assert f == r
+        assert len(result.rows) == 6
+        assert len(decided) == 2
+        assert len(lanes) == 9
+        assert sum(lanes) == 51
 
     def test_warm_engine_computes_zero_cells(self, tmp_path):
         store = ResultStore(str(tmp_path))
