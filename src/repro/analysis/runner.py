@@ -68,18 +68,13 @@ from typing import (
     TypeVar,
 )
 
+from repro import settings
 from repro.apps import create_benchmark
 from repro.apps.base import Benchmark
 from repro.obs.metrics import inc as metrics_inc
 from repro.obs.metrics import observe as metrics_observe
 from repro.obs.trace import Tracer, active_tracer, configure_trace_root, trace_span
-from repro.runtime.compiled import (
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    GRAPH_CACHE_ENV,
-    CompiledGraphStore,
-    compile_graph,
-)
+from repro.runtime.compiled import CompiledGraphStore, compile_graph
 from repro.runtime.graph import TaskGraph
 from repro.simulator.fastpath import SimGraphCache
 
@@ -126,29 +121,18 @@ def configure_graph_cache(
     _COMPILED_CACHE.clear()
 
 
-def env_graph_cache_enabled(fallback: bool) -> bool:
-    """Resolve ``REPRO_GRAPH_CACHE`` alone (no process-wide pin consulted).
-
-    ``fallback`` applies when the variable is unset — ``False`` for plain
-    library calls (tests and ad-hoc driver use leave no cache directories
-    behind), ``True`` for the CLI, which shares compiled graphs across
-    processes and invocations by default.
-    """
-    env = os.environ.get(GRAPH_CACHE_ENV)
-    if env is not None:
-        return env.strip().lower() not in ("0", "false", "no", "")
-    return fallback
-
-
 def graph_cache_enabled(fallback: bool = False) -> bool:
     """Whether compiled graphs are persisted to (and loaded from) disk.
 
     Precedence: :func:`configure_graph_cache`, then ``REPRO_GRAPH_CACHE``,
-    then ``fallback``.
+    then ``fallback`` — ``False`` for plain library calls (tests and ad-hoc
+    driver use leave no cache directories behind), ``True`` for the CLI,
+    which shares compiled graphs across processes and invocations.
     """
     if _GRAPH_CACHE["enabled"] is not None:
         return bool(_GRAPH_CACHE["enabled"])
-    return env_graph_cache_enabled(fallback)
+    env = settings.get("REPRO_GRAPH_CACHE")
+    return fallback if env is None else env
 
 
 def graph_cache_root() -> str:
@@ -156,49 +140,21 @@ def graph_cache_root() -> str:
     root = _GRAPH_CACHE["root"]
     if root:
         return str(root)
-    return os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-
-
-#: Environment switch for direct spec→CompiledGraph generation of workloads
-#: (``repro.workloads.direct``).  On by default: the direct path is pinned
-#: byte-identical to lowering an object graph, so cache keys *and* cache
-#: contents are unchanged — the switch exists to fall back to the object
-#: path when diagnosing a suspected generator divergence.
-DIRECT_GEN_ENV = "REPRO_DIRECT_GEN"
-
-
-def direct_gen_enabled() -> bool:
-    """Whether workload graphs are emitted directly to compiled arrays."""
-    env = os.environ.get(DIRECT_GEN_ENV)
-    if env is not None:
-        return env.strip().lower() not in ("0", "false", "no", "")
-    return True
+    return settings.get("REPRO_CACHE_DIR")
 
 
 def default_fast() -> bool:
     """Whether drivers use the vectorized fast path by default."""
     if _DEFAULTS["fast"] is not None:
         return bool(_DEFAULTS["fast"])
-    return os.environ.get("REPRO_REFERENCE", "") not in ("1", "true", "yes")
+    return not settings.get("REPRO_REFERENCE")
 
 
 def default_parallelism() -> int:
-    """Worker count used when a driver is called without ``parallelism``.
-
-    A ``REPRO_PARALLELISM`` that is not an integer raises a ``ValueError``
-    naming the variable.
-    """
+    """Worker count used when a driver is called without ``parallelism``."""
     if _DEFAULTS["parallelism"] is not None:
         return max(1, int(_DEFAULTS["parallelism"]))
-    env = os.environ.get("REPRO_PARALLELISM")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_PARALLELISM={env!r} is not an integer worker count"
-            ) from None
-    return max(1, os.cpu_count() or 1)
+    return settings.get("REPRO_PARALLELISM")
 
 
 def derive_seed(base_seed: int, *parts: Any) -> int:
@@ -268,7 +224,6 @@ def make_spec(
 GraphKey = Tuple[str, float, Optional[int]]
 
 _BENCH_CACHE: Dict[GraphKey, Benchmark] = {}
-_SIM_CACHES: Dict[int, SimGraphCache] = {}
 _COMPILED_CACHE: Dict[GraphKey, SimGraphCache] = {}
 
 #: One lock per graph key, so threads that miss the same graph wait for one
@@ -327,15 +282,6 @@ def benchmark_graph(name: str, scale: float, n_nodes: Optional[int] = None) -> T
     again.
     """
     return benchmark_instance(name, scale, n_nodes).build_graph()
-
-
-def sim_cache(graph: TaskGraph) -> SimGraphCache:
-    """The memoised :class:`SimGraphCache` of a graph (keyed by identity)."""
-    cache = _SIM_CACHES.get(id(graph))
-    if cache is None:
-        cache = SimGraphCache(graph)
-        _SIM_CACHES[id(graph)] = cache
-    return cache
 
 
 def compiled_sim_cache(
@@ -429,7 +375,7 @@ def _load_or_build(name: str, scale: float, n_nodes: Optional[int]) -> SimGraphC
 
         with trace_span(active_tracer(), "graph.generate", **attrs):
             return SimGraphCache.from_compiled(generate_compiled(direct_spec, scale))
-    return sim_cache(benchmark_graph(name, scale, n_nodes))
+    return SimGraphCache(benchmark_graph(name, scale, n_nodes))
 
 
 def _direct_workload_spec(name: str, n_nodes: Optional[int]) -> Optional[Any]:
@@ -437,10 +383,9 @@ def _direct_workload_spec(name: str, n_nodes: Optional[int]) -> Optional[Any]:
 
     Direct emission covers workload benchmarks at their registry placement
     (``n_nodes is None`` — workload tasks carry no explicit node attribute, so
-    distributed re-placements still go through the object path) and honours
-    the ``REPRO_DIRECT_GEN`` kill switch.
+    distributed re-placements still go through the object path).
     """
-    if n_nodes is not None or not direct_gen_enabled():
+    if n_nodes is not None:
         return None
     from repro.workloads import is_workload_name, parse_workload
 
@@ -466,7 +411,6 @@ def _pool_worker_init(graph_enabled: bool, graph_root: str) -> None:
 def clear_caches() -> None:
     """Drop all memoised benchmarks and simulation caches (mainly for tests)."""
     _BENCH_CACHE.clear()
-    _SIM_CACHES.clear()
     _COMPILED_CACHE.clear()
 
 

@@ -40,15 +40,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro import settings
 from repro.analysis.runner import ExperimentSpec
 
-# Shared with the compiled-graph store: one cache root, one version scheme.
-from repro.runtime.compiled import (  # noqa: F401  (re-exported public API)
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    code_version,
-    unique_tmp_path,
-)
+# Shared with the compiled-graph store: one version scheme.
+from repro.runtime.compiled import code_version, unique_tmp_path
 
 #: Bump when the record layout changes (distinct from the code version, which
 #: tracks the *semantics* of cell functions).
@@ -62,13 +58,6 @@ RECORD_FORMAT: int = 1
 #: separately (and to reap the expired ones).
 LEASE_SUFFIX: str = ".lease"
 
-#: Environment override for the lease time-to-live (seconds).
-LEASE_TTL_ENV: str = "REPRO_LEASE_TTL_S"
-
-#: Default lease TTL: long enough that any real cell renews many times before
-#: expiry, short enough that a crashed worker's cells are reclaimed quickly.
-DEFAULT_LEASE_TTL_S: float = 30.0
-
 #: Attempt markers (``<key>.attempt.<n>``) are the crash-persistent retry
 #: ledger of a cell: each computation attempt first claims the lowest free
 #: ordinal with an O_EXCL create, so attempt indices are globally unique
@@ -81,39 +70,6 @@ ATTEMPT_INFIX: str = ".attempt."
 #: attempt budget; write-once, carries the exception chain of every failed
 #: attempt.  Workers refuse poisoned cells and jobs over them fail fast.
 POISON_SUFFIX: str = ".poison"
-
-#: Environment override for the per-cell attempt budget.
-CELL_ATTEMPTS_ENV: str = "REPRO_CELL_ATTEMPTS"
-
-#: Default attempt budget: a cell may fail this many distinct attempts
-#: (across all workers) before it is quarantined.
-DEFAULT_CELL_ATTEMPTS: int = 3
-
-
-def lease_ttl_seconds() -> float:
-    """The lease TTL: ``REPRO_LEASE_TTL_S`` or the 30-second default."""
-    env = os.environ.get(LEASE_TTL_ENV)
-    if env:
-        try:
-            ttl = float(env)
-            if ttl > 0:
-                return ttl
-        except ValueError:
-            pass
-    return DEFAULT_LEASE_TTL_S
-
-
-def cell_attempt_budget() -> int:
-    """Per-cell attempt budget: ``REPRO_CELL_ATTEMPTS`` or the default of 3."""
-    env = os.environ.get(CELL_ATTEMPTS_ENV)
-    if env:
-        try:
-            budget = int(env)
-            if budget > 0:
-                return budget
-        except ValueError:
-            pass
-    return DEFAULT_CELL_ATTEMPTS
 
 
 def _canonical(obj: Any) -> Any:
@@ -201,7 +157,7 @@ class ResultStore:
 
     def __init__(self, root: Optional[str] = None) -> None:
         if root is None:
-            root = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+            root = settings.get("REPRO_CACHE_DIR")
         self.root = os.path.abspath(root)
 
     # -- paths ----------------------------------------------------------------
@@ -354,7 +310,7 @@ class ResultStore:
         retry forever).
         """
         if budget is None:
-            budget = cell_attempt_budget()
+            budget = settings.get("REPRO_CELL_ATTEMPTS")
         path0 = self.attempt_path_for(key, 0)
         os.makedirs(os.path.dirname(path0), exist_ok=True)
         doc = {"key": key, "owner": owner, "started_at": time.time()}
@@ -523,7 +479,7 @@ class ResultStore:
             return None
         except (OSError, ValueError, TypeError, KeyError):
             try:
-                return os.path.getmtime(path) + lease_ttl_seconds() < now
+                return os.path.getmtime(path) + settings.get("REPRO_LEASE_TTL_S") < now
             except OSError:
                 return None
         return deadline < now
@@ -635,7 +591,7 @@ class ResultStore:
             return empty
         now = time.time()
         if stale_worker_age_s is None:
-            stale_worker_age_s = 3.0 * lease_ttl_seconds()
+            stale_worker_age_s = 3.0 * settings.get("REPRO_LEASE_TTL_S")
         for path in self._worker_liveness_paths():
             try:
                 if os.path.getmtime(path) + stale_worker_age_s < now:

@@ -42,12 +42,8 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.runner import (
-    CellProgress,
-    ExperimentEngine,
-    configure_graph_cache,
-    env_graph_cache_enabled,
-)
+from repro import settings
+from repro.analysis.runner import CellProgress, ExperimentEngine, configure_graph_cache
 from repro.analysis.store import ResultStore, code_version
 from repro.analysis.targets import (
     TARGETS,
@@ -58,7 +54,7 @@ from repro.analysis.targets import (
 )
 from repro.obs.maintenance import obs_clear, obs_gc, obs_stats
 from repro.obs.trace import configure_trace_root
-from repro.runtime.compiled import CompiledGraphStore, workload_max_age_seconds
+from repro.runtime.compiled import DEFAULT_WORKLOAD_MAX_AGE_S, CompiledGraphStore
 from repro.util.units import format_bytes
 
 #: Default artifact directory.  Deliberately NOT ``benchmarks/results`` — the
@@ -284,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="gc only: age limit for compiled workload graphs (default: "
-        "REPRO_WORKLOAD_MAX_AGE_S or one week; <= 0 keeps them all)",
+        help="gc only: age limit for compiled workload graphs (default: one "
+        "week; <= 0 keeps them all)",
     )
 
     workloads = sub.add_parser(
@@ -386,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="crash-loop cap per embedded worker slot "
-        "(default: REPRO_WORKER_RESTARTS or 5)",
+        help="crash-loop cap per embedded worker slot (default: 5)",
     )
     serve.add_argument("--cache-dir", default=None, metavar="DIR")
     serve.add_argument(
@@ -559,6 +554,23 @@ def _write_artifacts(
 # ---------------------------------------------------------------------------------
 
 
+def _configure_caches(args: argparse.Namespace) -> None:
+    """Pin the compiled-graph store and the trace root to ``--cache-dir``.
+
+    The CLI shares compiled graphs through the on-disk store unless
+    ``--no-graph-cache`` or a false ``REPRO_GRAPH_CACHE`` opts out; plain
+    library calls stay in-memory unless configured otherwise.  Span sites
+    without a store in hand (graph loads, simulator dispatch) resolve their
+    tracer against the same root the engine caches under.
+    """
+    enabled = not getattr(args, "no_graph_cache", False)
+    configure_graph_cache(
+        enabled=enabled and settings.get("REPRO_GRAPH_CACHE") is not False,
+        root=args.cache_dir,
+    )
+    configure_trace_root(args.cache_dir)
+
+
 def _make_engine(args: argparse.Namespace, strict: bool = False) -> ExperimentEngine:
     """Build the (cache-aware) engine an invocation runs on."""
     store: Optional[ResultStore]
@@ -568,21 +580,7 @@ def _make_engine(args: argparse.Namespace, strict: bool = False) -> ExperimentEn
         store = ResultStore(args.cache_dir)
         if strict:
             store = _StrictStore(store)
-
-    # The CLI shares compiled graphs through the on-disk store by default
-    # (REPRO_GRAPH_CACHE=0 or --no-graph-cache opt out); plain library calls
-    # stay in-memory unless configured otherwise.
-    configure_graph_cache(
-        enabled=(
-            False
-            if getattr(args, "no_graph_cache", False)
-            else env_graph_cache_enabled(True)
-        ),
-        root=args.cache_dir,
-    )
-    # Span sites without a store in hand (graph loads, simulator dispatch)
-    # resolve their tracer against the same root the engine caches under.
-    configure_trace_root(args.cache_dir)
+    _configure_caches(args)
 
     progress = None
     if args.verbose and not args.quiet:
@@ -919,7 +917,7 @@ def _run_cache(args: argparse.Namespace) -> int:
     if args.action == "gc":
         max_age = args.workload_max_age
         if max_age is None:
-            max_age = workload_max_age_seconds()
+            max_age = DEFAULT_WORKLOAD_MAX_AGE_S
         removed = store.gc()
         gremoved = graphs.gc(workload_max_age_s=max_age if max_age > 0 else None)
         print(
@@ -968,8 +966,8 @@ def _service_url(url: Optional[str]) -> str:
     """Resolve the service base URL: flag > ``REPRO_SERVE_URL`` > default bind."""
     if url:
         return url.rstrip("/")
-    env = os.environ.get("REPRO_SERVE_URL")
-    if env:
+    env = settings.get("REPRO_SERVE_URL")
+    if env is not None:
         return env.rstrip("/")
     from repro.serve.app import default_bind
 
@@ -1067,11 +1065,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.serve.app import ReproServer
     from repro.serve.workers import SweepWorker
 
-    configure_graph_cache(
-        enabled=(False if args.no_graph_cache else env_graph_cache_enabled(True)),
-        root=args.cache_dir,
-    )
-    configure_trace_root(args.cache_dir)
+    _configure_caches(args)
     if args.worker:
         # A worker *process* takes chaos kills as a genuine SIGKILL —
         # supervision (and the resulting lease expiry) is exercised for real.

@@ -32,11 +32,9 @@ _EXPORTS = {
     "exascale_scenario": "repro.faults.rates",
     "FailureModel": "repro.faults.model",
     "TaskFailureRates": "repro.faults.model",
-    "FAULT_SEED_ENV": "repro.faults.injector",
     "FaultInjector": "repro.faults.injector",
     "FaultPlan": "repro.faults.injector",
     "InjectionConfig": "repro.faults.injector",
-    "default_root_seed": "repro.faults.injector",
     "corrupt_array": "repro.faults.corruption",
     "flip_random_bit": "repro.faults.corruption",
 }
@@ -51,7 +49,6 @@ __all__ = [
     "DEFAULT_CRASH_FIT_PER_32GIB",
     "DEFAULT_SDC_FIT_PER_32GIB",
     "ErrorClass",
-    "FAULT_SEED_ENV",
     "FailureModel",
     "FaultEvent",
     "FaultInjector",
@@ -63,7 +60,6 @@ __all__ = [
     "TaskCrashError",
     "TaskFailureRates",
     "corrupt_array",
-    "default_root_seed",
     "exascale_scenario",
     "flip_random_bit",
 ]

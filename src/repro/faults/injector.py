@@ -24,33 +24,16 @@ equally scheduling-independent.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import settings
 from repro.faults.errors import ErrorClass, FaultEvent
 from repro.faults.model import FailureModel
 from repro.runtime.task import TaskDescriptor
 from repro.util.rng import FAULT_LANE_CORRUPTION, RngStream, fault_stream
 from repro.util.validation import check_non_negative, check_probability
-
-#: Environment variable that sets the default fault-stream root seed when a
-#: :class:`FaultInjector` is constructed without an explicit seed or stream.
-FAULT_SEED_ENV = "REPRO_FAULT_SEED"
-
-
-def default_root_seed() -> int:
-    """The fault-stream root seed from ``REPRO_FAULT_SEED`` (default ``0``)."""
-    raw = os.environ.get(FAULT_SEED_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{FAULT_SEED_ENV} must be an integer, got {raw!r}"
-        ) from exc
 
 
 @dataclass
@@ -102,7 +85,8 @@ class FaultPlan:
 class FaultInjector:
     """Draws fault events for task executions from keyed per-execution streams.
 
-    ``root_seed`` selects the whole family of per-execution streams.  For
+    ``root_seed`` selects the whole family of per-execution streams
+    (``REPRO_FAULT_SEED`` when neither it nor ``rng`` is given).  For
     backwards compatibility a sequential ``rng`` stream may be passed instead;
     only its seed material is used (:meth:`~repro.util.rng.RngStream.derived_seed`,
     the plain integer seed for directly-constructed streams) — the stream
@@ -125,7 +109,7 @@ class FaultInjector:
             if rng is not None:
                 root_seed = rng.derived_seed()
             else:
-                root_seed = default_root_seed()
+                root_seed = settings.get("REPRO_FAULT_SEED")
         self.root_seed = int(root_seed)
         self.plan = plan
         self.injected: List[FaultEvent] = []

@@ -28,7 +28,6 @@ _EXPORTS = {
     "Tracer": "repro.obs.trace",
     "active_tracer": "repro.obs.trace",
     "trace_span": "repro.obs.trace",
-    "trace_mode": "repro.obs.trace",
     "read_trace": "repro.obs.report",
     "summarize_trace": "repro.obs.report",
     "export_chrome_trace": "repro.obs.report",

@@ -31,8 +31,7 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-#: Environment variable gating the /metrics exposition and snapshot files.
-METRICS_ENV = "REPRO_METRICS"
+from repro import settings
 
 #: Where worker snapshots live, under the cache root.
 METRICS_SUBDIR = os.path.join("obs", "metrics")
@@ -61,13 +60,6 @@ HELP: Dict[str, str] = {
     "repro_cell_compute_seconds": "Wall time of individual cell computations.",
     "repro_uptime_seconds": "Seconds since this process's server started.",
 }
-
-
-def metrics_enabled() -> bool:
-    """Whether the /metrics exposition and snapshot files are on (default yes)."""
-    return os.environ.get(METRICS_ENV, "").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
 
 
 class Counter:
@@ -359,7 +351,7 @@ def write_snapshot(root: str, owner: str) -> None:
     its snapshot still computes cells; only the merged scrape goes blind to
     it (exactly like a liveness file).
     """
-    if not metrics_enabled():
+    if not settings.get("REPRO_METRICS"):
         return
     path = snapshot_path(root, owner)
     doc = {

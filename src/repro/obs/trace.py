@@ -42,68 +42,25 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runtime.compiled import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
-
-#: Environment variable selecting the trace mode (unset/empty = off).
-TRACE_ENV = "REPRO_TRACE"
-
-#: The accepted ``REPRO_TRACE`` values.
-TRACE_MODES = ("off", "light", "full")
+from repro import settings
 
 #: Where trace records live, under the cache root.
 OBS_SUBDIR = "obs"
 TRACE_LOG_NAME = "trace.jsonl"
 
-#: Environment variable capping the live trace journal size (bytes).  When an
-#: append would push ``trace.jsonl`` past the cap, the journal is atomically
-#: renamed to a ``trace-<ns>-<pid>.jsonl`` segment and a fresh journal starts.
-#: ``repro cache gc`` sweeps rotated segments; ``<= 0`` disables rotation.
-TRACE_MAX_BYTES_ENV = "REPRO_TRACE_MAX_BYTES"
-
-#: Default journal cap: large enough that a full nightly sweep fits in one
-#: segment, small enough that a forgotten ``REPRO_TRACE=full`` service loop
-#: cannot fill a disk before gc runs.
-DEFAULT_TRACE_MAX_BYTES = 64 * 1024 * 1024
-
 #: Rotated segments are ``trace-<ns>-<pid>.jsonl`` (the prefix the obs
-#: maintenance sweep matches; the live journal never matches it).
+#: maintenance sweep matches; the live journal never matches it).  A journal
+#: is rotated when an append would push it past ``REPRO_TRACE_MAX_BYTES``
+#: (64 MiB by default: a full nightly sweep fits in one segment, and a
+#: forgotten ``REPRO_TRACE=full`` service loop cannot fill a disk before gc
+#: runs).
 ROTATED_TRACE_PREFIX = "trace-"
-
-
-def trace_max_bytes() -> int:
-    """The journal rotation cap (``$REPRO_TRACE_MAX_BYTES``; ``<= 0`` = off)."""
-    raw = os.environ.get(TRACE_MAX_BYTES_ENV, "").strip()
-    if not raw:
-        return DEFAULT_TRACE_MAX_BYTES
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{TRACE_MAX_BYTES_ENV}={raw!r} is not an integer byte count"
-        ) from None
 
 #: Sites recorded in ``light`` mode — the coarse cell lifecycle only.  Every
 #: other site (claim/put bookkeeping, graph loads, simulator dispatch, HTTP)
 #: requires ``full``.  Unknown sites default to ``full`` so a new span site is
 #: never accidentally promoted into the light overhead budget.
 LIGHT_SITES = frozenset({"engine.map", "cell", "cell.compute", "cell.retry"})
-
-
-def parse_trace_mode(text: str) -> str:
-    """Validate one ``REPRO_TRACE`` value; a typo must fail loudly."""
-    mode = text.strip().lower()
-    if mode == "":
-        return "off"
-    if mode not in TRACE_MODES:
-        raise ValueError(
-            f"unknown {TRACE_ENV} mode {text!r}; known: {', '.join(TRACE_MODES)}"
-        )
-    return mode
-
-
-def trace_mode() -> str:
-    """The process's trace mode, resolved from ``REPRO_TRACE``."""
-    return parse_trace_mode(os.environ.get(TRACE_ENV, ""))
 
 
 def trace_path(root: str) -> str:
@@ -305,7 +262,7 @@ class Tracer:
         from ``os.replace`` and is swallowed by :meth:`_append`'s handler:
         the other process already moved the file.
         """
-        cap = trace_max_bytes()
+        cap = settings.get("REPRO_TRACE_MAX_BYTES")
         if cap <= 0:
             return
         try:
@@ -366,11 +323,11 @@ def active_tracer(root: Optional[str] = None) -> Optional[Tracer]:
     environmental (``REPRO_TRACE``), tracers are cached per (mode, root),
     and every thread in the process shares one instance.
     """
-    mode = trace_mode()
+    mode = settings.get("REPRO_TRACE")
     if mode == "off":
         return None
     if root is None:
-        root = _DEFAULT_ROOT["root"] or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+        root = _DEFAULT_ROOT["root"] or settings.get("REPRO_CACHE_DIR")
     cache_key = (mode, os.path.abspath(root))
     with _tracers_lock:
         tracer = _tracers.get(cache_key)

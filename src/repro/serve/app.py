@@ -29,27 +29,21 @@ are all computed.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.analysis.store import ResultStore, lease_ttl_seconds
-from repro.obs.metrics import PROM_CONTENT_TYPE, metrics_enabled, render_merged
+from repro import settings
+from repro.analysis.store import ResultStore
+from repro.obs.metrics import PROM_CONTENT_TYPE, render_merged
 from repro.obs.metrics import inc as metrics_inc
-from repro.obs.trace import active_tracer, trace_mode, trace_span
+from repro.obs.trace import active_tracer, trace_span
 from repro.serve.chaos import active_chaos
 from repro.serve.jobs import JobIncompleteError, JobStore, JobValidationError, compose_artifacts
 from repro.serve.workers import SweepWorker, WorkerSupervisor, list_workers
 from repro.util.retry import RetryPolicy, retry_call
-
-#: Bind address override: ``host:port`` (CLI flags win over the env).
-BIND_ENV = "REPRO_SERVE_BIND"
-
-#: Default bind address of ``repro serve``.
-DEFAULT_BIND = "127.0.0.1:8765"
 
 #: Artifact formats the service renders, with their content types.
 ARTIFACT_TYPES: Dict[str, str] = {
@@ -64,18 +58,9 @@ _MAX_BODY_BYTES = 1 << 20
 
 def default_bind(host: Optional[str] = None, port: Optional[int] = None) -> Tuple[str, int]:
     """Resolve the bind address: explicit args > ``REPRO_SERVE_BIND`` > default."""
-    env = os.environ.get(BIND_ENV, DEFAULT_BIND)
-    env_host, _, env_port = env.rpartition(":")
-    try:
-        parsed_port = int(env_port)
-    except ValueError:
-        env_host, parsed_port = DEFAULT_BIND.rsplit(":", 1)[0], int(
-            DEFAULT_BIND.rsplit(":", 1)[1]
-        )
-    if not env_host:
-        env_host = DEFAULT_BIND.rsplit(":", 1)[0]
+    env_host, env_port = settings.get("REPRO_SERVE_BIND")
     return (host if host is not None else env_host,
-            port if port is not None else parsed_port)
+            port if port is not None else env_port)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -204,7 +189,7 @@ class _Handler(BaseHTTPRequestHandler):
         if parts == ["metrics"]:
             # Prometheus convention: the scrape endpoint lives at the root,
             # outside the JSON API namespace.
-            if not metrics_enabled():
+            if not settings.get("REPRO_METRICS"):
                 self._error(404, "metrics exposition disabled (REPRO_METRICS=off)")
                 return
             body = self.server.metrics_text().encode("utf-8")
@@ -312,7 +297,7 @@ class ReproServer:
     ) -> None:
         self.store = ResultStore(root)
         self.jobs = JobStore(self.store.root)
-        self.ttl_s = float(ttl_s) if ttl_s is not None else lease_ttl_seconds()
+        self.ttl_s = float(ttl_s) if ttl_s is not None else settings.get("REPRO_LEASE_TTL_S")
         bind_host, bind_port = default_bind(host, port)
         self.httpd = _ServeHTTPServer((bind_host, bind_port), _Handler)
         # The handler reaches everything through self.server; graft ourselves on.
@@ -395,7 +380,7 @@ class ReproServer:
             "version": repro.__version__,
             "uptime_s": round(time.time() - self.started_at, 3),
             "chaos_profile": chaos.profile.canonical if chaos is not None else None,
-            "trace_mode": trace_mode(),
+            "trace_mode": settings.get("REPRO_TRACE"),
         }
 
     def health(self) -> Dict[str, Any]:

@@ -55,10 +55,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runtime.compiled import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
-
-#: Environment variable selecting the chaos profile (unset/empty = no chaos).
-CHAOS_ENV = "REPRO_CHAOS"
+from repro import settings
 
 #: Where injections are journalled, under the cache root.
 CHAOS_SUBDIR = os.path.join("serve", "chaos")
@@ -349,14 +346,14 @@ def active_chaos(root: Optional[str] = None) -> Optional[ChaosEngine]:
     thread in the process, and a fresh root — each soak phase uses one —
     gets fresh counters, which is what makes replay comparisons exact.
     """
-    text = os.environ.get(CHAOS_ENV, "").strip()
-    if not text:
+    text = settings.get("REPRO_CHAOS")
+    if text is None:
         return None
     profile = parse_chaos(text)
     if not profile.active:
         return None
     if root is None:
-        root = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+        root = settings.get("REPRO_CACHE_DIR")
     cache_key = (profile.canonical, os.path.abspath(root))
     with _engines_lock:
         engine = _engines.get(cache_key)

@@ -51,7 +51,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set
 
-from repro.analysis.store import ResultStore, lease_ttl_seconds, unique_tmp_path
+from repro import settings
+from repro.analysis.store import ResultStore, unique_tmp_path
 from repro.obs.metrics import inc as metrics_inc
 from repro.serve.chaos import active_chaos
 
@@ -98,7 +99,7 @@ class LeaseStore:
         self.store = ResultStore(root)
         self.root = self.store.root
         self.owner = owner if owner is not None else default_owner_id()
-        self.ttl_s = float(ttl_s) if ttl_s is not None else lease_ttl_seconds()
+        self.ttl_s = float(ttl_s) if ttl_s is not None else settings.get("REPRO_LEASE_TTL_S")
         #: Expired leases this owner reclaimed (surfaced by ``/stats``).
         self.reclaims = 0
 

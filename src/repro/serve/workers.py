@@ -24,8 +24,9 @@ import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro import settings
 from repro.analysis.runner import ExperimentEngine, ExperimentSpec, run_cell
-from repro.analysis.store import ResultStore, cell_attempt_budget, lease_ttl_seconds
+from repro.analysis.store import ResultStore
 from repro.obs.metrics import inc as metrics_inc
 from repro.obs.metrics import observe as metrics_observe
 from repro.obs.metrics import write_snapshot
@@ -37,9 +38,6 @@ from repro.util.retry import RetryPolicy, retry_call
 
 #: How often a worker republishes its liveness file (seconds).
 LIVENESS_INTERVAL_S: float = 2.0
-
-#: Environment override for the per-worker-slot restart budget.
-RESTARTS_ENV: str = "REPRO_WORKER_RESTARTS"
 
 #: Default crash-loop cap: a worker slot is restarted at most this many times.
 DEFAULT_MAX_RESTARTS: int = 5
@@ -271,7 +269,7 @@ class LeaseDrainEngine(ExperimentEngine):
                                 "t": time.time(),
                             }
                         )
-                    if attempt + 1 >= cell_attempt_budget():
+                    if attempt + 1 >= settings.get("REPRO_CELL_ATTEMPTS"):
                         self._quarantine(key)
                     return False  # back to pending; the next claim takes attempt+1
                 self.store.clear_attempts(key)
@@ -604,19 +602,6 @@ class SweepWorker:
                 self._liveness = None
 
 
-def max_worker_restarts() -> int:
-    """Per-slot restart budget: ``REPRO_WORKER_RESTARTS`` or the default of 5."""
-    env = os.environ.get(RESTARTS_ENV)
-    if env:
-        try:
-            cap = int(env)
-            if cap >= 0:
-                return cap
-        except ValueError:
-            pass
-    return DEFAULT_MAX_RESTARTS
-
-
 class WorkerSupervisor:
     """Run N worker threads and restart the ones that die.
 
@@ -624,10 +609,10 @@ class WorkerSupervisor:
     with an exception — a chaos :class:`WorkerKilled`, or a genuine bug — is
     replaced with a **fresh** worker (new owner identity, new lease store)
     after an exponential backoff, up to a per-slot crash-loop cap
-    (``REPRO_WORKER_RESTARTS``); a slot over its cap is abandoned and counted
-    in ``crash_looped`` so ``/health`` shows the degradation instead of the
-    service silently running under-strength.  A thread that *returns* is
-    simply finished (idle-exit), never restarted.
+    (``max_restarts``, default :data:`DEFAULT_MAX_RESTARTS`); a slot over its
+    cap is abandoned and counted in ``crash_looped`` so ``/health`` shows the
+    degradation instead of the service silently running under-strength.  A
+    thread that *returns* is simply finished (idle-exit), never restarted.
 
     Every worker sleeps on the supervisor's :class:`WakeSignal` between queue
     scans: :meth:`notify` (called by the HTTP frontend once a submission is
@@ -650,7 +635,7 @@ class WorkerSupervisor:
         self.ttl_s = ttl_s
         self.poll_s = float(poll_s)
         self.max_restarts = (
-            int(max_restarts) if max_restarts is not None else max_worker_restarts()
+            int(max_restarts) if max_restarts is not None else DEFAULT_MAX_RESTARTS
         )
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_max_s = float(backoff_max_s)
@@ -781,7 +766,7 @@ def list_workers(
     workers_dir = os.path.join(store.root, WORKERS_SUBDIR)
     if now is None:
         now = time.time()
-    stale_after_s = 3.0 * lease_ttl_seconds()
+    stale_after_s = 3.0 * settings.get("REPRO_LEASE_TTL_S")
     rows: List[Dict[str, Any]] = []
     if not os.path.isdir(workers_dir):
         return rows

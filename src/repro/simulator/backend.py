@@ -32,14 +32,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-#: Environment variable naming the backend to use.
-BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-#: Environment variable overriding the compiled-kernel cache directory.
-KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE"
-
-#: Environment variable overriding the C compiler (default: cc/gcc/clang).
-CC_ENV = "REPRO_CC"
+from repro import settings
 
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_simkernel.c")
 
@@ -125,16 +118,8 @@ Backend = Union[PythonBackend, CExtBackend]
 # -- C kernel build ---------------------------------------------------------
 
 
-def kernel_cache_dir() -> str:
-    """Directory holding compiled kernel shared objects."""
-    override = os.environ.get(KERNEL_CACHE_ENV)
-    if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro", "kernels")
-
-
 def _find_cc() -> Optional[str]:
-    override = os.environ.get(CC_ENV)
+    override = settings.get("REPRO_CC")
     if override:
         return shutil.which(override) or (override if os.path.exists(override) else None)
     for cand in ("cc", "gcc", "clang"):
@@ -148,7 +133,7 @@ def kernel_lib_path() -> str:
     """Path of the compiled kernel for the current source (not necessarily built)."""
     with open(_KERNEL_SOURCE, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-    return os.path.join(kernel_cache_dir(), f"simkernel-{digest}.so")
+    return os.path.join(settings.get("REPRO_KERNEL_CACHE"), f"simkernel-{digest}.so")
 
 
 def build_kernel_lib(verbose: bool = False) -> str:
@@ -219,9 +204,7 @@ def _get_backend(name: str) -> Backend:
         raise BackendUnavailable(_failures[name])
     factory = _FACTORIES.get(name)
     if factory is None:
-        raise ValueError(
-            f"unknown simulator backend {name!r}: {BACKEND_ENV} must be one of auto|python|cext"
-        )
+        raise ValueError(f"unknown simulator backend {name!r}; known: auto|python|cext")
     try:
         inst = factory()
     except BackendUnavailable as exc:
@@ -238,8 +221,7 @@ def resolve_backend(name: Optional[str] = None) -> Backend:
     otherwise; a *named* ``cext`` that is unavailable raises
     :class:`BackendUnavailable` with the reason.
     """
-    name = name or os.environ.get(BACKEND_ENV) or "auto"
-    name = name.strip().lower()
+    name = (name or settings.get("REPRO_SIM_BACKEND")).strip().lower()
     if name == "auto":
         try:
             return _get_backend("cext")

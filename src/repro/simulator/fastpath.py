@@ -35,7 +35,6 @@ the reference instead.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import replace
 from heapq import heappop, heappush
@@ -43,6 +42,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import settings
 from repro.obs.trace import active_tracer, trace_span
 from repro.runtime.compiled import CompiledGraph, compile_graph
 from repro.runtime.graph import TaskGraph
@@ -66,16 +66,6 @@ _READY, _FREE, _SPARE, _COMPLETE = 0, 1, 2, 4
 #: golden artifacts pin the resulting draw sequence.)
 _DRAW_CHUNK = 4096
 
-#: Environment knob setting the task-chunk size of the Python replay: the
-#: replay terms are computed (and held) one chunk of this many tasks at a
-#: time.  ``<= 0`` makes the whole graph one chunk.  Results never depend on it.
-SIM_CHUNK_ENV = "REPRO_SIM_CHUNK_TASKS"
-
-#: Default chunk: small enough that the resident chunks stay in the tens of
-#: megabytes, large enough that the frontier of any reasonable graph rarely
-#: straddles more than two or three chunks.
-DEFAULT_SIM_CHUNK_TASKS = 65536
-
 #: Resident chunk budget of the Python replay.  The event-loop frontier visits
 #: tasks roughly in topological (= dense-index) order, so a handful of chunks
 #: absorbs the straddle between the started window and its predecessors.
@@ -85,17 +75,14 @@ _RESIDENT_CHUNKS = 4
 def sim_chunk_tasks(n_tasks: int) -> int:
     """The replay chunk size for an ``n_tasks`` graph (``$REPRO_SIM_CHUNK_TASKS``).
 
-    ``<= 0`` means the whole graph is one chunk.
+    The Python replay computes (and holds) its replay terms one chunk of this
+    many tasks at a time; results never depend on it.  The default, 65536, is
+    small enough that the resident chunks stay in the tens of megabytes and
+    large enough that the frontier of any reasonable graph rarely straddles
+    more than two or three chunks.  ``<= 0`` means the whole graph is one
+    chunk.
     """
-    raw = os.environ.get(SIM_CHUNK_ENV, "").strip()
-    if not raw:
-        return DEFAULT_SIM_CHUNK_TASKS
-    try:
-        chunk = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SIM_CHUNK_ENV}={raw!r} is not an integer task count"
-        ) from None
+    chunk = settings.get("REPRO_SIM_CHUNK_TASKS")
     return chunk if chunk > 0 else max(n_tasks, 1)
 
 

@@ -11,7 +11,7 @@ Covers the ISSUE-10 tentpole and its regression satellites:
   the reference loop at chunk sizes 1, 7 and n, records included, bit for
   bit;
 * direct generation wired through ``compiled_sim_cache`` (store and
-  in-memory branches) behind ``REPRO_DIRECT_GEN``;
+  in-memory branches);
 * quarantine-on-corruption for torn zips whose damage lands inside the
   central directory (the shape that used to escape as ``AttributeError``).
 """
@@ -25,10 +25,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import (
+    benchmark_graph,
     clear_caches,
     compiled_sim_cache,
     configure_graph_cache,
-    direct_gen_enabled,
 )
 from repro.runtime.compiled import ARRAY_FIELDS, CompiledGraphStore, compile_graph
 from repro.simulator.execution import SimulationConfig, simulate_graph
@@ -279,14 +279,7 @@ class TestStreamingReplay:
 class TestRunnerWiring:
     SPEC = "pipeline:stages=4,items=5,seed=2"
 
-    def test_direct_gen_env_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DIRECT_GEN", raising=False)
-        assert direct_gen_enabled()
-        monkeypatch.setenv("REPRO_DIRECT_GEN", "0")
-        assert not direct_gen_enabled()
-
     def test_store_branch_uses_direct_and_is_mmap_backed(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_DIRECT_GEN", raising=False)
         # Poison the object path: if the store branch lowered a TaskGraph it
         # would call the benchmark builder, which we make explode.
         import repro.analysis.runner as runner_mod
@@ -301,23 +294,20 @@ class TestRunnerWiring:
         assert cache.n == 20
         assert isinstance(cache.compiled.durations, np.memmap)
 
-    def test_store_contents_identical_direct_vs_lowered(self, tmp_path, monkeypatch):
+    def test_store_contents_identical_direct_vs_lowered(self, tmp_path):
         name = parse_workload(self.SPEC).canonical
-        payloads = {}
-        for mode, sub in (("1", "a"), ("0", "b")):
-            monkeypatch.setenv("REPRO_DIRECT_GEN", mode)
-            clear_caches()
-            root = tmp_path / sub
-            configure_graph_cache(enabled=True, root=str(root))
-            compiled_sim_cache(name, 1.0)
-            store = CompiledGraphStore(str(root))
-            key = store.key(name, 1.0, None)
-            with open(store.path_for(key), "rb") as fh:
-                payloads[mode] = fh.read()
-        assert payloads["1"] == payloads["0"]
+        direct, lowered = str(tmp_path / "a"), str(tmp_path / "b")
+        configure_graph_cache(enabled=True, root=direct)
+        compiled_sim_cache(name, 1.0)
+        CompiledGraphStore(lowered).save(name, 1.0, compile_graph(benchmark_graph(name, 1.0)))
+        payloads = []
+        for root in (direct, lowered):
+            store = CompiledGraphStore(root)
+            with open(store.path_for(store.key(name, 1.0, None)), "rb") as fh:
+                payloads.append(fh.read())
+        assert payloads[0] == payloads[1]
 
     def test_in_memory_branch_uses_direct(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DIRECT_GEN", raising=False)
         import repro.analysis.runner as runner_mod
 
         def boom(*a, **k):  # pragma: no cover - failure path

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import settings
 from repro.faults.errors import ErrorClass
-from repro.faults.injector import FaultInjector, InjectionConfig, default_root_seed
+from repro.faults.injector import FaultInjector, InjectionConfig
 from repro.util.rng import FAULT_LANE_CORRUPTION, fault_key, fault_stream
 from tests.conftest import make_task
 
@@ -193,13 +194,13 @@ class TestConcurrentBookkeeping:
 class TestRootSeedEnvironment:
     def test_env_var_sets_default_root_seed(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SEED", "98765")
-        assert default_root_seed() == 98765
+        assert settings.get("REPRO_FAULT_SEED") == 98765
         assert FaultInjector().root_seed == 98765
 
     def test_env_var_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SEED", "not-an-int")
         with pytest.raises(ValueError):
-            default_root_seed()
+            settings.get("REPRO_FAULT_SEED")
 
     def test_explicit_seed_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SEED", "98765")

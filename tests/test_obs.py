@@ -24,6 +24,7 @@ import urllib.request
 
 import pytest
 
+from repro import settings
 from repro.analysis.runner import clear_caches
 from repro.cli import main
 from repro.obs.metrics import (
@@ -42,7 +43,7 @@ from repro.obs.report import (
     render_summary,
     summarize_trace,
 )
-from repro.obs.trace import Tracer, parse_trace_mode, trace_path
+from repro.obs.trace import Tracer, trace_path
 from repro.serve.app import ReproServer
 
 SCALE = "0.05"
@@ -220,12 +221,13 @@ def test_render_prometheus_text_contract():
 # ---------------------------------------------------------------------------------
 
 
-def test_parse_trace_mode_accepts_known_and_rejects_typos():
-    assert parse_trace_mode("") == "off"
-    assert parse_trace_mode(" FULL ") == "full"
-    assert parse_trace_mode("light") == "light"
+def test_parse_trace_mode_accepts_known_and_rejects_typos(monkeypatch):
+    for raw, mode in (("", "off"), (" FULL ", "full"), ("light", "light")):
+        monkeypatch.setenv("REPRO_TRACE", raw)
+        assert settings.get("REPRO_TRACE") == mode
+    monkeypatch.setenv("REPRO_TRACE", "ful")
     with pytest.raises(ValueError):
-        parse_trace_mode("ful")  # a typo must never silently trace nothing
+        settings.get("REPRO_TRACE")  # a typo must never silently trace nothing
 
 
 def test_span_records_parenting_and_envelope(tmp_path):
@@ -518,10 +520,9 @@ def test_metrics_endpoint_404_when_disabled(tmp_path, monkeypatch):
 def test_trace_journal_rotates_at_size_cap(tmp_path, monkeypatch):
     """Appends past REPRO_TRACE_MAX_BYTES rename the journal to a segment."""
     from repro.obs.maintenance import obs_stats, rotated_trace_segments
-    from repro.obs.trace import trace_max_bytes
 
     monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "600")
-    assert trace_max_bytes() == 600
+    assert settings.get("REPRO_TRACE_MAX_BYTES") == 600
     tracer = Tracer("full", str(tmp_path))
     for i in range(40):
         tracer.mark("cell.retry", key=f"k{i:04d}", attempt=i)
@@ -543,7 +544,6 @@ def test_trace_journal_rotates_at_size_cap(tmp_path, monkeypatch):
 
 def test_trace_rotation_disabled_and_bad_value(tmp_path, monkeypatch):
     from repro.obs.maintenance import rotated_trace_segments
-    from repro.obs.trace import trace_max_bytes
 
     monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "0")
     tracer = Tracer("full", str(tmp_path))
@@ -552,7 +552,7 @@ def test_trace_rotation_disabled_and_bad_value(tmp_path, monkeypatch):
     assert rotated_trace_segments(str(tmp_path)) == []
     monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "big")
     with pytest.raises(ValueError, match="REPRO_TRACE_MAX_BYTES"):
-        trace_max_bytes()
+        settings.get("REPRO_TRACE_MAX_BYTES")
 
 
 def test_obs_gc_sweeps_segments_and_stale_snapshots(tmp_path, monkeypatch):

@@ -30,7 +30,8 @@ import time
 
 import pytest
 
-from repro.analysis.store import ResultStore, lease_ttl_seconds
+from repro import settings
+from repro.analysis.store import ResultStore
 from repro.serve.jobs import JobStore
 from repro.serve.leases import LeaseHeartbeat, LeaseStore, default_owner_id
 from repro.serve.workers import SweepWorker, WakeSignal
@@ -131,12 +132,13 @@ def test_default_owner_ids_are_unique():
 
 
 def test_lease_ttl_env_override(monkeypatch):
-    """``REPRO_LEASE_TTL_S`` configures the default TTL; garbage is ignored."""
+    """``REPRO_LEASE_TTL_S`` configures the default TTL; garbage fails by name."""
     monkeypatch.setenv("REPRO_LEASE_TTL_S", "7.5")
-    assert lease_ttl_seconds() == 7.5
+    assert settings.get("REPRO_LEASE_TTL_S") == 7.5
     assert LeaseStore("/tmp/unused-root", owner="x").ttl_s == 7.5
     monkeypatch.setenv("REPRO_LEASE_TTL_S", "not-a-number")
-    assert lease_ttl_seconds() == 30.0
+    with pytest.raises(ValueError, match="REPRO_LEASE_TTL_S"):
+        settings.get("REPRO_LEASE_TTL_S")
 
 
 # ---------------------------------------------------------------------------------

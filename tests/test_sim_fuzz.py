@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 from repro.simulator.backend import BackendUnavailable, resolve_backend
 from repro.simulator.execution import SimulationConfig, simulate_graph
 from repro.simulator.fastpath import (
-    SIM_CHUNK_ENV,
     SimGraphCache,
     simulate_compiled,
     simulate_compiled_batch,
@@ -149,7 +148,7 @@ def _check_python_loop(case):
     graph, compiled, machine, config = case
     ref = simulate_graph(graph, machine, config)
     for chunk in (1, 7, compiled.n):
-        with mock.patch.dict(os.environ, {SIM_CHUNK_ENV: str(chunk)}):
+        with mock.patch.dict(os.environ, {"REPRO_SIM_CHUNK_TASKS": str(chunk)}):
             got = simulate_compiled(
                 SimGraphCache(compiled=compiled), machine, config, backend="python"
             )

@@ -43,7 +43,7 @@ sys.path.insert(
 )
 
 from repro.serve.app import ReproServer  # noqa: E402
-from repro.serve.chaos import CHAOS_ENV, injected_multiset, parse_chaos  # noqa: E402
+from repro.serve.chaos import injected_multiset, parse_chaos  # noqa: E402
 
 #: The default soak profile: every fault family the harness can absorb, at
 #: rates a 4-cell drain survives, under one fixed seed.  ``max_kills`` stays
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     doc = smoke_request(args.scale)
     failures = []
 
-    os.environ.pop(CHAOS_ENV, None)
+    os.environ.pop("REPRO_CHAOS", None)
     baseline = _run_phase(doc, args.ttl, args.timeout)
     if baseline["status"]["state"] != "done":
         raise SystemExit(
@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         failures.append(f"faults injected without REPRO_CHAOS: {baseline['injected']}")
 
     soaks = []
-    os.environ[CHAOS_ENV] = profile.canonical
+    os.environ["REPRO_CHAOS"] = profile.canonical
     try:
         for i in range(max(1, args.repeats)):
             soak = _run_phase(doc, args.ttl, args.timeout)
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
                     f"{soak['supervisor']} supervisor restarts"
                 )
     finally:
-        os.environ.pop(CHAOS_ENV, None)
+        os.environ.pop("REPRO_CHAOS", None)
 
     sites = {site for soak in soaks for site, _, _ in soak["injected"]}
     if not sites:

@@ -45,7 +45,6 @@ sys.path.insert(
 )
 
 from repro.obs.report import export_trace_file, read_trace, summarize_trace  # noqa: E402
-from repro.obs.trace import TRACE_ENV  # noqa: E402
 from repro.serve.app import ReproServer  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -174,9 +173,9 @@ def _time_cli_run(scale: float, trace_mode: str) -> float:
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
-    env.pop(TRACE_ENV, None)
+    env.pop("REPRO_TRACE", None)
     if trace_mode:
-        env[TRACE_ENV] = trace_mode
+        env["REPRO_TRACE"] = trace_mode
     try:
         t0 = time.perf_counter()
         subprocess.run(
@@ -207,16 +206,16 @@ def main(argv=None) -> int:
     doc = smoke_request(args.scale)
     failures: list = []
 
-    os.environ.pop(TRACE_ENV, None)
+    os.environ.pop("REPRO_TRACE", None)
     baseline = _run_phase(doc, args.timeout, traced=False)
     if read_trace(baseline["root"]):
         failures.append("trace records written without REPRO_TRACE")
 
-    os.environ[TRACE_ENV] = "full"
+    os.environ["REPRO_TRACE"] = "full"
     try:
         traced = _run_phase(doc, args.timeout, traced=True)
     finally:
-        os.environ.pop(TRACE_ENV, None)
+        os.environ.pop("REPRO_TRACE", None)
 
     for fmt, blob in baseline["blobs"].items():
         if traced["blobs"].get(fmt) != blob:
