@@ -77,6 +77,7 @@ from repro.obs.trace import Tracer, active_tracer, configure_trace_root, trace_s
 from repro.runtime.compiled import CompiledGraphStore, compile_graph
 from repro.runtime.graph import TaskGraph
 from repro.simulator.fastpath import SimGraphCache
+from repro.util.gcpause import paused_gc
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us)
     from repro.analysis.store import ResultStore
@@ -362,7 +363,9 @@ def _load_or_build(name: str, scale: float, n_nodes: Optional[int]) -> SimGraphC
             if compiled is None:
                 with trace_span(tracer, "graph.compile", **attrs):
                     t0 = time.perf_counter()
-                    compiled = compile_graph(benchmark_graph(name, scale, n_nodes))
+                    # One pause covers the build and the lowering of its graph.
+                    with paused_gc():
+                        compiled = compile_graph(benchmark_graph(name, scale, n_nodes))
                     store.save(
                         name, scale, compiled, n_nodes, elapsed_s=time.perf_counter() - t0
                     )

@@ -8,6 +8,7 @@ from typing import Optional
 
 from repro.runtime.graph import TaskGraph
 from repro.runtime.runtime import TaskRuntime
+from repro.util.gcpause import paused_gc
 from repro.util.units import bytes_to_mib
 
 
@@ -78,7 +79,8 @@ class Benchmark(abc.ABC):
         runtime = TaskRuntime(n_workers=1, config=None)
         runtime.config.graph_name = self.name
         runtime.config.record_submissions = False
-        self._build(runtime)
+        with paused_gc():
+            self._build(runtime)
         graph = runtime.graph
         if use_cache:
             self._graph_cache = graph

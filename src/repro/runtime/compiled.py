@@ -43,7 +43,7 @@ import numpy as np
 
 from repro import settings
 from repro.runtime.graph import TaskGraph
-from repro.runtime.task import TaskDescriptor
+from repro.runtime.task import Direction, TaskDescriptor
 
 #: Bump when the compiled array layout changes (hashed into every store key).
 #: Format 2 aligns every member's array data to :data:`NPZ_ALIGN` bytes.
@@ -98,6 +98,11 @@ ARRAY_FIELDS: Tuple[str, ...] = (
     "pred_indices",
     "edge_bytes",
 )
+
+
+#: A dependency-bearing region flattened for the overlap scan: (handle,
+#: offset, end).
+_Span = Tuple[Any, float, float]
 
 
 def code_version() -> str:
@@ -208,8 +213,13 @@ class CompiledGraph:
                 raise ValueError(f"compiled graph {idx_name} is out of range")
         if self.pred_indices.shape[0] != nnz or self.edge_bytes.shape[0] != nnz:
             raise ValueError("compiled graph edge arrays disagree on edge count")
-        if n and np.unique(self.task_ids).shape[0] != n:
-            raise ValueError("compiled graph task ids are not unique")
+        # Runtime-built and generated graphs number their tasks in ascending
+        # order, which proves uniqueness in one pass; only other orders sort.
+        ids = self.task_ids
+        if not np.all(ids[1:] > ids[:-1]):
+            ids = np.sort(ids)
+            if np.any(ids[1:] == ids[:-1]):
+                raise ValueError("compiled graph task ids are not unique")
 
 
 def compile_graph(graph: TaskGraph) -> CompiledGraph:
@@ -220,115 +230,130 @@ def compile_graph(graph: TaskGraph) -> CompiledGraph:
     simulator's per-argument loop), so every stored float is bit-identical to
     what the object-graph paths would compute on the fly.
 
+    Each task's arguments are walked once.  That walk yields the three byte
+    sums and the task's dependency-bearing read and write regions, flattened
+    to ``(handle, offset, end)`` tuples without their zero-size members;
+    ``None`` stands for "no dependency-bearing region of that kind".
+
     Per-edge communication payloads are computed *eagerly* for every edge,
     although single-node simulations never read them: the on-disk form must
     be machine-independent (a worker may replay the same compiled graph on
     any node count), and one immutable layout keeps the replay loops free of
-    a lazy-lookup branch.  The cost is compile-time only and grows with the
-    edge count, which the per-byte dependency tracker keeps at a few edges
-    per task for every Table I graph but fft (linpack at scale 1.0: 401,312
-    edges for 139,264 tasks).
+    a lazy-lookup branch.  The overlap scan mirrors :func:`edge_comm_bytes`
+    term for term: a zero-width overlap contributes exactly 0.0 there, so
+    skipping it is bit-identical.  A task without write regions, or a
+    successor without read regions, gives the task's ``output_bytes`` entry
+    (:attr:`TaskDescriptor.output_bytes`).  A task whose only write regions
+    have size 0 still takes the scan, so its edges into readers carry 0.0.
+    The scan grows with the edge count, which the per-byte dependency
+    tracker keeps at a few edges per task for every Table I graph but fft
+    (linpack at scale 1.0: 401,312 edges for 139,264 tasks).
     """
-    tasks = graph.tasks()
-    n = len(tasks)
-    task_ids = np.empty(n, dtype=np.int64)
-    durations = np.empty(n, dtype=np.float64)
-    mem_bytes = np.empty(n, dtype=np.float64)
-    input_bytes = np.empty(n, dtype=np.float64)
-    output_bytes = np.empty(n, dtype=np.float64)
-    arg_bytes = np.empty(n, dtype=np.float64)
-    node_attr = np.full(n, -1, dtype=np.int64)
-    index: Dict[int, int] = {}
-    for i, t in enumerate(tasks):
-        tid = t.task_id
-        task_ids[i] = tid
-        index[tid] = i
-        durations[i] = t.duration_s
+    ids: List[int] = []
+    durations: List[float] = []
+    mem_bytes: List[float] = []
+    input_bytes: List[float] = []
+    output_bytes: List[float] = []
+    arg_bytes: List[float] = []
+    node_attr: List[int] = []
+    reads_of: List[Optional[List[_Span]]] = []
+    writes_of: List[Optional[List[_Span]]] = []
+    IN, OUT, INOUT, VALUE = Direction.IN, Direction.OUT, Direction.INOUT, Direction.VALUE
+    for t in graph.tasks():
         in_b = 0.0
         out_b = 0.0
         all_b = 0.0
+        reads: Optional[List[_Span]] = None
+        writes: Optional[List[_Span]] = None
         for a in t.args:
             size = a.size_bytes
             direction = a.direction
             all_b += size
-            if direction.reads:
+            if direction is IN:
                 in_b += size
-            if direction.writes:
+            elif direction is OUT:
                 out_b += size
+            elif direction is INOUT:
+                in_b += size
+                out_b += size
+            elif direction is VALUE:
+                in_b += size
+                continue
+            else:
+                raise ValueError(f"task {t.task_id}: unknown direction {direction!r}")
+            r = a.region
+            if r is None:
+                continue
+            span = (r.handle, r.offset, r.offset + r.size_bytes)
+            nonzero = r.size_bytes != 0
+            if direction is not OUT:
+                if reads is None:
+                    reads = []
+                if nonzero:
+                    reads.append(span)
+            if direction is not IN:
+                if writes is None:
+                    writes = []
+                if nonzero:
+                    writes.append(span)
+        ids.append(t.task_id)
+        durations.append(t.duration_s)
         mem = t.metadata.get("mem_bytes")
-        mem_bytes[i] = float(all_b if mem is None else mem)
-        input_bytes[i] = in_b
-        output_bytes[i] = out_b
-        arg_bytes[i] = all_b
-        if t.node is not None:
-            node_attr[i] = t.node
+        mem_bytes.append(float(all_b if mem is None else mem))
+        input_bytes.append(in_b)
+        output_bytes.append(out_b)
+        arg_bytes.append(all_b)
+        node_attr.append(-1 if t.node is None else t.node)
+        reads_of.append(reads)
+        writes_of.append(writes)
 
+    index = {tid: i for i, tid in enumerate(ids)}
     succ_map = graph._succ
     pred_map = graph._pred
-    succ_indptr = np.empty(n + 1, dtype=np.int64)
-    pred_indptr = np.empty(n + 1, dtype=np.int64)
-    succ_indptr[0] = 0
-    pred_indptr[0] = 0
-    succ_indices_l: List[int] = []
-    pred_indices_l: List[int] = []
-    edge_bytes_l: List[float] = []
-    # Region lists are materialised once per task — not once per edge — and
-    # flattened to (handle, offset, end) tuples so the overlap scan below
-    # (the dominant compile cost on dense graphs) runs on plain floats.  The
-    # scan mirrors :func:`edge_comm_bytes` term for term: zero-width overlaps
-    # contribute exactly 0.0 there, so skipping them is bit-identical.
-    write_regions = [
-        [(r.handle, r.offset, r.offset + r.size_bytes) for r in t.write_regions()
-         if r.size_bytes != 0]
-        for t in tasks
-    ]
-    read_regions = [
-        [(r.handle, r.offset, r.offset + r.size_bytes) for r in t.read_regions()
-         if r.size_bytes != 0]
-        for t in tasks
-    ]
-    has_writes = [bool(t.write_regions()) for t in tasks]
-    has_reads = [bool(t.read_regions()) for t in tasks]
-    for i, t in enumerate(tasks):
-        tid = task_ids[i]
+    succ_indptr = [0]
+    pred_indptr = [0]
+    succ_indices: List[int] = []
+    pred_indices: List[int] = []
+    edge_bytes: List[float] = []
+    for i, tid in enumerate(ids):
         row = [index[s] for s in sorted(succ_map[tid])]
-        succ_indices_l.extend(row)
-        pred_writes = write_regions[i]
-        if not has_writes[i]:
-            fallback = t.output_bytes
-            edge_bytes_l.extend(fallback for _ in row)
+        succ_indices += row
+        writes = writes_of[i]
+        out_b = output_bytes[i]
+        if writes is None:
+            edge_bytes += [out_b] * len(row)
         else:
-            out_bytes = t.output_bytes
             for j in row:
-                if not has_reads[j]:
-                    edge_bytes_l.append(out_bytes)
+                reads = reads_of[j]
+                if reads is None:
+                    edge_bytes.append(out_b)
                     continue
                 total = 0.0
-                for wh, wo, we in pred_writes:
-                    for rh, ro, re_ in read_regions[j]:
+                for wh, wo, we in writes:
+                    for rh, ro, re_ in reads:
                         if wh is rh and wo < re_ and ro < we:
                             lo = wo if wo > ro else ro
                             hi = we if we < re_ else re_
                             if hi > lo:
                                 total += hi - lo
-                edge_bytes_l.append(total)
-        succ_indptr[i + 1] = len(succ_indices_l)
-        pred_indices_l.extend(index[p] for p in sorted(pred_map[tid]))
-        pred_indptr[i + 1] = len(pred_indices_l)
+                edge_bytes.append(total)
+        succ_indptr.append(len(succ_indices))
+        pred_indices += [index[p] for p in sorted(pred_map[tid])]
+        pred_indptr.append(len(pred_indices))
 
     return CompiledGraph(
-        task_ids=task_ids,
-        durations=durations,
-        mem_bytes=mem_bytes,
-        input_bytes=input_bytes,
-        output_bytes=output_bytes,
-        arg_bytes=arg_bytes,
-        node_attr=node_attr,
-        succ_indptr=succ_indptr,
-        succ_indices=np.asarray(succ_indices_l, dtype=np.int64),
-        pred_indptr=pred_indptr,
-        pred_indices=np.asarray(pred_indices_l, dtype=np.int64),
-        edge_bytes=np.asarray(edge_bytes_l, dtype=np.float64),
+        task_ids=np.array(ids, dtype=np.int64),
+        durations=np.array(durations, dtype=np.float64),
+        mem_bytes=np.array(mem_bytes, dtype=np.float64),
+        input_bytes=np.array(input_bytes, dtype=np.float64),
+        output_bytes=np.array(output_bytes, dtype=np.float64),
+        arg_bytes=np.array(arg_bytes, dtype=np.float64),
+        node_attr=np.array(node_attr, dtype=np.int64),
+        succ_indptr=np.array(succ_indptr, dtype=np.int64),
+        succ_indices=np.array(succ_indices, dtype=np.int64),
+        pred_indptr=np.array(pred_indptr, dtype=np.int64),
+        pred_indices=np.array(pred_indices, dtype=np.int64),
+        edge_bytes=np.array(edge_bytes, dtype=np.float64),
     )
 
 

@@ -40,6 +40,25 @@ from repro.runtime.task import (
 from repro.util.validation import check_positive_int
 
 
+class _ArgNames(dict):
+    """Argument names ``<prefix>0``, ``<prefix>1``, ...: each made once, not
+    once per submitted task."""
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, i: int) -> str:
+        name = self[i] = f"{self.prefix}{i}"
+        return name
+
+
+_IN_NAMES = _ArgNames("in")
+_OUT_NAMES = _ArgNames("out")
+_INOUT_NAMES = _ArgNames("inout")
+_VALUE_NAMES = _ArgNames("val")
+
+
 @dataclass
 class RuntimeConfig:
     """Configuration of a :class:`TaskRuntime`."""
@@ -130,13 +149,13 @@ class TaskRuntime:
         """
         args: List[TaskArgument] = []
         for i, region in enumerate(in_):
-            args.append(TaskArgument(name=f"in{i}", direction=Direction.IN, region=region))
+            args.append(TaskArgument(_IN_NAMES[i], Direction.IN, region))
         for i, region in enumerate(out):
-            args.append(TaskArgument(name=f"out{i}", direction=Direction.OUT, region=region))
+            args.append(TaskArgument(_OUT_NAMES[i], Direction.OUT, region))
         for i, region in enumerate(inout):
-            args.append(TaskArgument(name=f"inout{i}", direction=Direction.INOUT, region=region))
+            args.append(TaskArgument(_INOUT_NAMES[i], Direction.INOUT, region))
         for i, value in enumerate(values):
-            args.append(TaskArgument(name=f"val{i}", direction=Direction.VALUE, value=value))
+            args.append(TaskArgument(_VALUE_NAMES[i], Direction.VALUE, None, value))
 
         task = TaskDescriptor(
             task_id=next(self._ids),

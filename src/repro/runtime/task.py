@@ -97,8 +97,12 @@ class DataRegion:
     size_bytes: float
 
     def __post_init__(self) -> None:
-        check_non_negative(self.offset, "offset")
-        check_non_negative(self.size_bytes, "size_bytes")
+        # A plain float >= 0 is valid as is; graph builds create hundreds of
+        # thousands of regions, so only other values pay for the full check.
+        if type(self.offset) is not float or not self.offset >= 0.0:
+            check_non_negative(self.offset, "offset")
+        if type(self.size_bytes) is not float or not self.size_bytes >= 0.0:
+            check_non_negative(self.size_bytes, "size_bytes")
 
     @property
     def end(self) -> float:
@@ -133,7 +137,8 @@ class TaskArgument:
     def __post_init__(self) -> None:
         if self.region is not None and self.size_bytes == 0.0:
             self.size_bytes = self.region.size_bytes
-        check_non_negative(self.size_bytes, "size_bytes")
+        if type(self.size_bytes) is not float or not self.size_bytes >= 0.0:
+            check_non_negative(self.size_bytes, "size_bytes")
 
     @property
     def is_dependency_bearing(self) -> bool:
@@ -197,7 +202,8 @@ class TaskDescriptor:
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_non_negative(self.duration_s, "duration_s")
+        if type(self.duration_s) is not float or not self.duration_s >= 0.0:
+            check_non_negative(self.duration_s, "duration_s")
 
     # -- size accounting (what the heuristic consumes) ----------------------
 

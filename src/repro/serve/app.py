@@ -449,7 +449,13 @@ class ReproServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "ReproServer":
-        """Serve in a background thread and start the supervised workers."""
+        """Serve in a background thread and start the supervised workers.
+
+        Every knob is read first (:func:`repro.settings.check`): a bad value
+        raises here, before any thread starts, instead of killing a worker's
+        background thread later.
+        """
+        settings.check()
         self._thread = threading.Thread(
             target=self.httpd.serve_forever, name="repro-serve", daemon=True
         )
@@ -459,14 +465,18 @@ class ReproServer:
         return self
 
     def stop(self) -> None:
-        """Shut down: stop workers, then the HTTP loop (idempotent)."""
+        """Shut down: stop workers, then the HTTP loop (idempotent).
+
+        Also closes the socket of a server whose :meth:`start` never ran or
+        raised (``shutdown`` would wait for a loop that never started).
+        """
         if self.supervisor is not None:
             self.supervisor.stop()
-        self.httpd.shutdown()
-        self.httpd.server_close()
         if self._thread is not None:
+            self.httpd.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.httpd.server_close()
 
     def serve_forever(self) -> None:
         """Foreground mode for the CLI: start, then block until interrupted."""

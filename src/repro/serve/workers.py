@@ -571,7 +571,10 @@ class SweepWorker:
         ``stop`` is set.  With a ``wake`` signal the sleep ends early when it
         is notified (an in-process submission, or shutdown); ``poll_s`` stays
         the timeout, which is how jobs written by other processes are found.
+        Every knob is read before the heartbeat and liveness threads start,
+        so a bad value fails here (see :func:`repro.settings.check`).
         """
+        settings.check()
         stop = stop if stop is not None else threading.Event()
         self.heartbeat.start()
         self._liveness = _LivenessWriter(self, self.liveness_interval_s)

@@ -1,7 +1,7 @@
 """Every ``REPRO_*`` environment variable ("knob"): one table, one reader.
 
-:data:`KNOBS` maps each knob's name to its parser and default, and
-:func:`get` reads one knob:
+:data:`KNOBS` maps each knob's name to its parser and default, :func:`get`
+reads one knob, and :func:`check` reads them all:
 
 * a name that is not in the table raises :class:`KeyError`, so a misspelt
   knob in the code fails the first time it runs;
@@ -142,3 +142,20 @@ def get(name: str) -> Any:
         return knob.parse(raw)
     except ValueError as exc:
         raise ValueError(f"{name}={raw!r}: {exc}") from None
+
+
+def check() -> None:
+    """Read every knob; raise one ``ValueError`` naming each rejected value.
+
+    The message lists one ``NAME='raw': reason`` entry per rejected knob,
+    separated by ``; ``.  A long-running process calls this before it starts
+    any thread, so a bad value fails the start instead of a thread.
+    """
+    errors = []
+    for name in KNOBS:
+        try:
+            get(name)
+        except ValueError as exc:
+            errors.append(str(exc))
+    if errors:
+        raise ValueError("; ".join(errors))

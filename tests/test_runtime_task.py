@@ -88,6 +88,29 @@ class TestDataRegion:
             DataRegion(h, -1, 10)
 
 
+_CHECKED_FIELDS = {
+    "region-offset": ("offset", lambda v: DataRegion(DataHandle("a", size_bytes=8.0), v, 1.0)),
+    "region-size": ("size_bytes", lambda v: DataRegion(DataHandle("a", size_bytes=8.0), 0.0, v)),
+    "argument-size": ("size_bytes", lambda v: TaskArgument("x", Direction.VALUE, size_bytes=v)),
+    "task-duration": ("duration_s", lambda v: TaskDescriptor(0, "t", duration_s=v)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_CHECKED_FIELDS))
+def test_non_float_values_still_take_the_full_check(field):
+    # Plain floats >= 0 skip check_non_negative; everything else keeps its
+    # errors and messages.
+    name, make = _CHECKED_FIELDS[field]
+    for bad in (True, "1", None):
+        with pytest.raises(TypeError, match=f"^{name} must be a number"):
+            make(bad)
+    for negative, shown in ((-1.5, "-1.5"), (-2, "-2"), (np.float64(-0.5), "")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {shown}"):
+            make(negative)
+    for good in (0.0, -0.0, 3, np.float64(2.0), float("inf")):
+        make(good)
+
+
 class TestTaskArgument:
     def test_size_inferred_from_region(self):
         h = DataHandle("a", size_bytes=256)

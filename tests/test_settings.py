@@ -3,6 +3,8 @@
 * booleans mean the same in every knob (``on``/``off`` were misread by some);
 * a value a knob's parser rejects fails with an error naming the knob, also
   through the entry points that once replaced it with the default;
+* ``settings.check()`` names every bad knob at once, and the service and
+  its worker loop check them all before they start a thread;
 * only ``repro/settings.py`` reads the process environment (a stdlib
   ``ast`` walk over ``src/repro``);
 * the README's Configuration table documents exactly the table's knobs.
@@ -11,6 +13,7 @@
 import ast
 import pathlib
 import re
+import threading
 from typing import List
 
 import pytest
@@ -19,8 +22,9 @@ from repro import settings
 from repro.analysis import runner
 from repro.analysis.store import ResultStore
 from repro.obs.metrics import snapshot_path, write_snapshot
-from repro.serve.app import default_bind
+from repro.serve.app import ReproServer, default_bind
 from repro.serve.leases import LeaseStore
+from repro.serve.workers import SweepWorker
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -113,6 +117,54 @@ def test_a_bad_knob_leaves_the_others_readable(monkeypatch):
         monkeypatch.setenv(name, raw)
     monkeypatch.setenv("REPRO_CACHE_DIR", "elsewhere")
     assert settings.get("REPRO_CACHE_DIR") == "elsewhere"
+
+
+def test_check_passes_when_every_knob_is_valid(monkeypatch):
+    for name in settings.KNOBS:
+        monkeypatch.delenv(name, raising=False)
+    settings.check()
+    monkeypatch.setenv("REPRO_METRICS", "off")
+    monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "4096")
+    settings.check()
+
+
+def test_check_names_every_bad_knob(monkeypatch):
+    for name in settings.KNOBS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("REPRO_METRICS", "maybe")
+    monkeypatch.setenv("REPRO_TRACE", "ful")
+    with pytest.raises(ValueError) as info:
+        settings.check()
+    entries = str(info.value).split("; ")
+    assert [entry.split(":", 1)[0] for entry in entries] == [
+        "REPRO_TRACE='ful'",
+        "REPRO_METRICS='maybe'",
+    ]
+
+
+def test_server_start_fails_on_a_bad_knob_before_any_thread(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_METRICS", "maybe")
+    before = set(threading.enumerate())
+    server = ReproServer(root=str(tmp_path), host="127.0.0.1", port=0, workers=2)
+    try:
+        with pytest.raises(ValueError, match="REPRO_METRICS='maybe'"):
+            server.start()
+        started = [t.name for t in set(threading.enumerate()) - before]
+        assert not [
+            name for name in started
+            if name == "repro-serve" or name == "worker-supervisor"
+            or name.startswith(("sweep-worker-", "liveness-"))
+        ], started
+    finally:
+        server.stop()
+
+
+def test_worker_loop_fails_on_a_bad_knob_before_any_thread(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_METRICS", "maybe")
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="REPRO_METRICS='maybe'"):
+        SweepWorker(str(tmp_path)).run_forever(idle_exit=True)
+    assert set(threading.enumerate()) <= before
 
 
 def test_unknown_knob_is_a_key_error():
