@@ -23,10 +23,13 @@ from repro.analysis.experiments import (
     _appfit_threshold_compiled,
     _distributed_benchmark,
     ablation_policies,
+    ablation_rate_sweep,
     figure3_appfit,
     figure4_overheads,
     figure5_scalability_shared,
+    figure6_scalability_distributed,
     sweep_policies,
+    table1_benchmark_inventory,
 )
 from repro.apps import create_benchmark
 from repro.apps.registry import all_benchmark_names, distributed_benchmark_names
@@ -246,6 +249,40 @@ class TestDriverEquivalence:
         fast = ablation_policies(fast=True, **kwargs)
         ref = ablation_policies(fast=False, **kwargs)
         assert len(fast.rows) == 5 * len(all_benchmark_names())
+        assert fast.rows == ref.rows
+
+    def test_table1_rows(self):
+        kwargs = dict(scale=SCALE, parallelism=1)
+        fast = table1_benchmark_inventory(fast=True, **kwargs)
+        ref = table1_benchmark_inventory(fast=False, **kwargs)
+        assert len(fast.rows) == len(all_benchmark_names())
+        assert fast.rows == ref.rows
+
+    @pytest.mark.parametrize("name", ["cholesky", "linpack"])
+    def test_rate_sweep_rows(self, name):
+        kwargs = dict(
+            benchmark=name,
+            scale=SCALE,
+            multipliers=(1.0, 5.0, 20.0),
+            residual_factors=(0.0, 0.1),
+            parallelism=1,
+        )
+        fast = ablation_rate_sweep(fast=True, **kwargs)
+        ref = ablation_rate_sweep(fast=False, **kwargs)
+        assert len(fast.rows) == 6
+        assert fast.rows == ref.rows
+
+    def test_figure6_rows(self):
+        kwargs = dict(
+            scale=SCALE,
+            node_counts=(4, 16),
+            fault_rates=(0.0, 0.05),
+            n_seeds=2,
+            parallelism=1,
+        )
+        fast = figure6_scalability_distributed(fast=True, **kwargs)
+        ref = figure6_scalability_distributed(fast=False, **kwargs)
+        assert len(fast.rows) == 2 * 2 * len(distributed_benchmark_names())
         assert fast.rows == ref.rows
 
 
