@@ -13,11 +13,13 @@ by an :class:`~repro.analysis.runner.ExperimentEngine`:
 
 * ``parallelism`` fans the grid out over worker processes (default: one per
   CPU, or ``REPRO_PARALLELISM``);
-* ``fast`` selects the compiled-graph fast path (default on): a fast cell
-  reads only compiled-graph arrays, never an object graph.  The scalar
-  implementations over task descriptors remain the reference — pass
-  ``fast=False``, set ``REPRO_REFERENCE=1``, or use the CLI's
-  ``--reference`` flag;
+* ``fast`` selects the compiled-graph fast path (default on).  Each cell is
+  written once, against the graph view :func:`_graph_view` picks for it: a
+  fast cell gets a :class:`_CompiledView` and reads only compiled-graph
+  arrays, never an object graph; a reference cell gets an
+  :class:`_ObjectView`, the scalar implementations over task descriptors,
+  which pin the fast path bit for bit — pass ``fast=False``, set
+  ``REPRO_REFERENCE=1``, or use the CLI's ``--reference`` flag;
 * generated task graphs are memoised per process keyed by
   (benchmark, scale, node count), so a graph is built once per run instead of
   once per policy x rate cell; each ``@cell_kind`` declares the keys its
@@ -35,7 +37,7 @@ parallelism and worker scheduling order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.runner import (
     ExperimentEngine,
@@ -62,8 +64,8 @@ from repro.apps.registry import (
 )
 from repro.core.engine import ReplicationDecisions, decide_for_graph
 from repro.core.estimator import ArgumentSizeEstimator
-from repro.core.heuristic import AppFit, SelectionPolicy
-from repro.core.knapsack import KnapsackOracle
+from repro.core.heuristic import AppFit
+from repro.core.knapsack import KnapsackOracle, KnapsackSolution
 from repro.core.policies import (
     CompleteReplication,
     RandomReplication,
@@ -74,8 +76,8 @@ from repro.faults.model import FailureModel
 from repro.faults.rates import FitRateSpec
 from repro.runtime.compiled import CompiledGraph
 from repro.runtime.graph import TaskGraph
-from repro.simulator.execution import SimulationConfig, simulate_graph
-from repro.simulator.fastpath import SimGraphCache, simulate_compiled, simulate_compiled_batch
+from repro.simulator.execution import SimulationConfig, SimulationResult, simulate_graph
+from repro.simulator.fastpath import SimGraphCache, simulate_compiled_batch
 from repro.simulator.machine import MachineSpec, marenostrum_cluster, shared_memory_node
 from repro.util.rng import RngStream
 from repro.util.tables import TextTable
@@ -117,34 +119,12 @@ def _replica_seeds(base_seed: int, n_seeds: int) -> List[int]:
     return [base_seed] + [derive_seed(base_seed, "replica", j) for j in range(1, n_seeds)]
 
 
-def _seed_makespans(cache, graph, machine, config, seeds, fast) -> List[float]:
-    """Per-seed makespans of one cell simulation, one entry per fault seed.
-
-    The fast path replays every seed as one batch over the shared replay
-    arrays (:func:`simulate_compiled_batch`), or only the first seed when
-    the config draws no fault (probabilities of 0 or 1 give every seed the
-    same makespan); the reference path loops the scalar simulator.  Both
-    run seed ``s`` with ``replace(config, seed=s)``, so lane ``j`` is
-    bit-identical to the corresponding single-seed run.
-    """
-    if fast:
-        sims = simulate_compiled_batch(cache, machine, config, seeds=seeds)
-    else:
-        sims = [simulate_graph(graph, machine, replace(config, seed=s)) for s in seeds]
-    return [sim.makespan_s for sim in sims]
-
-
 def _registry_graph(spec: ExperimentSpec) -> List[GraphKey]:
     """The graph a fast cell reads: its benchmark at registry placement.
 
     Reference-path cells read no compiled graph, so they declare none.
     """
     return [(spec.benchmark, spec.scale, None)] if spec.fast else []
-
-
-def _mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; exact pass-through for a single value (0 + x == x)."""
-    return sum(values) / len(values)
 
 
 def _appfit_threshold(graph: TaskGraph, rate_spec: FitRateSpec) -> float:
@@ -169,14 +149,6 @@ def _appfit_threshold_compiled(compiled: CompiledGraph, rate_spec: FitRateSpec) 
     """
     model = FailureModel(rate_spec.at_todays_rates())
     return sum(model.fit_array_for_bytes(compiled.arg_bytes).tolist())
-
-
-def _unprotected_fit(graph: TaskGraph, replicated_ids, rate_spec: FitRateSpec) -> float:
-    """Summed FIT of the tasks left unprotected, under ``rate_spec``."""
-    model = FailureModel(rate_spec)
-    return sum(
-        model.task_total_fit(t) for t in graph.tasks() if t.task_id not in replicated_ids
-    )
 
 
 def _distributed_benchmark(name: str, n_nodes: int, scale: float) -> Benchmark:
@@ -206,22 +178,175 @@ def _distributed_benchmark(name: str, n_nodes: int, scale: float) -> Benchmark:
     raise KeyError(f"{name!r} is not a distributed benchmark")
 
 
-def _appfit_decisions(
-    graph: TaskGraph,
-    threshold: float,
-    estimator: ArgumentSizeEstimator,
-    residual_fit_factor: float,
-) -> ReplicationDecisions:
-    """App_FIT over a whole graph, the scalar reference (with its audit)."""
-    policy = AppFit(
-        threshold=threshold,
-        total_tasks=len(graph),
-        estimator=estimator,
-        residual_fit_factor=residual_fit_factor,
-    )
-    decisions = decide_for_graph(graph, policy)
-    decisions.audit = policy.audit()
-    return decisions
+# ---------------------------------------------------------------------------------
+# graph views: a cell's graph on the fast or the reference path
+# ---------------------------------------------------------------------------------
+
+#: A view's selection functions: ``baseline(name, budget)`` decides one of
+#: the :data:`SWEEP_POLICIES` baselines, ``oracle(threshold)`` solves the
+#: knapsack, and ``unprotected(chosen)`` sums the FIT of the tasks outside
+#: ``chosen``.
+Selector = Tuple[
+    Callable[[str, Optional[float]], ReplicationDecisions],
+    Callable[[float], KnapsackSolution],
+    Callable[[FrozenSet[int]], float],
+]
+
+
+class _CompiledView:
+    """A cell's graph as compiled arrays: the fast path.
+
+    It selects on the arrays (:mod:`repro.core.vectorized`,
+    :meth:`KnapsackOracle.solve_arrays`) and replays every seed as one batch
+    (:func:`simulate_compiled_batch`) without per-task records, so a cell
+    on it reads no object graph.
+    """
+
+    def __init__(self, cache: SimGraphCache, seed: int) -> None:
+        self.cache = cache
+        self.seed = seed
+        self.n_tasks = cache.n
+
+    def threshold(self, rate_spec: FitRateSpec) -> float:
+        """The App_FIT threshold: the graph's FIT at today's rates."""
+        return _appfit_threshold_compiled(self.cache.compiled, rate_spec)
+
+    def app_fit(
+        self, threshold: float, estimator: ArgumentSizeEstimator, residual: float
+    ) -> ReplicationDecisions:
+        """App_FIT's decisions over the whole graph, with their audit."""
+        return decide_for_compiled(
+            self.cache.compiled, threshold, estimator, residual_fit_factor=residual
+        )
+
+    def selector(self, estimator: ArgumentSizeEstimator) -> Selector:
+        """The baseline, oracle and unprotected-FIT functions under ``estimator``."""
+        compiled = self.cache.compiled
+        ids, durations = compiled.task_ids.tolist(), compiled.durations.tolist()
+        fits = compiled_total_fits(estimator, compiled)
+        fit_list = fits.tolist()
+
+        def baseline(name: str, budget: Optional[float]) -> ReplicationDecisions:
+            return decide_baseline(name, ids, fits, durations, budget, self.seed)
+
+        def oracle(threshold: float) -> KnapsackSolution:
+            return KnapsackOracle(threshold, estimator).solve_arrays(ids, fit_list, durations)
+
+        def unprotected(chosen: FrozenSet[int]) -> float:
+            return sum(fit for tid, fit in zip(ids, fit_list) if tid not in chosen)
+
+        return baseline, oracle, unprotected
+
+    def simulate(
+        self, machine: MachineSpec, config: SimulationConfig, seeds: Sequence[int]
+    ) -> List[SimulationResult]:
+        """One replay per seed, batched; a batch that draws no fault replays one lane."""
+        return simulate_compiled_batch(
+            self.cache, machine, replace(config, collect_records=False), seeds=seeds
+        )
+
+
+class _ObjectView:
+    """A cell's graph as task descriptors: the reference path.
+
+    It selects with the descriptor policies of :mod:`repro.core.policies`
+    and replays each seed with the scalar simulator, which collects records.
+    Every number it returns equals :class:`_CompiledView`'s, bit for bit.
+    """
+
+    def __init__(self, graph: TaskGraph, seed: int) -> None:
+        self.graph = graph
+        self.seed = seed
+        self.n_tasks = len(graph)
+
+    def threshold(self, rate_spec: FitRateSpec) -> float:
+        """The App_FIT threshold: the graph's FIT at today's rates."""
+        return _appfit_threshold(self.graph, rate_spec)
+
+    def app_fit(
+        self, threshold: float, estimator: ArgumentSizeEstimator, residual: float
+    ) -> ReplicationDecisions:
+        """App_FIT's decisions over the whole graph, with their audit."""
+        policy = AppFit(
+            threshold=threshold,
+            total_tasks=self.n_tasks,
+            estimator=estimator,
+            residual_fit_factor=residual,
+        )
+        decisions = decide_for_graph(self.graph, policy)
+        decisions.audit = policy.audit()
+        return decisions
+
+    def selector(self, estimator: ArgumentSizeEstimator) -> Selector:
+        """The baseline, oracle and unprotected-FIT functions under ``estimator``."""
+        graph = self.graph
+
+        def baseline(name: str, budget: Optional[float]) -> ReplicationDecisions:
+            if name == "top_fit":
+                policy = TopFitReplication(budget, estimator)
+            elif name == "random":
+                policy = RandomReplication(budget, rng=RngStream(self.seed))
+            elif name == "complete":
+                policy = CompleteReplication()
+            else:
+                raise KeyError(f"unknown sweep policy {name!r}; known: {SWEEP_POLICIES}")
+            return decide_for_graph(graph, policy)
+
+        def oracle(threshold: float) -> KnapsackSolution:
+            return KnapsackOracle(threshold, estimator).solve(graph.tasks())
+
+        def unprotected(chosen: FrozenSet[int]) -> float:
+            return sum(
+                estimator.model.task_total_fit(t)
+                for t in graph.tasks()
+                if t.task_id not in chosen
+            )
+
+        return baseline, oracle, unprotected
+
+    def simulate(
+        self, machine: MachineSpec, config: SimulationConfig, seeds: Sequence[int]
+    ) -> List[SimulationResult]:
+        """One scalar replay per seed."""
+        return [simulate_graph(self.graph, machine, replace(config, seed=s)) for s in seeds]
+
+
+GraphView = Union[_CompiledView, _ObjectView]
+
+
+def _graph_view(spec: ExperimentSpec, n_nodes: Optional[int] = None) -> GraphView:
+    """The view of ``spec``'s benchmark at ``n_nodes`` (``None``: registry placement).
+
+    The one place a cell's path is chosen: a fast cell gets the compiled
+    graph (:func:`compiled_sim_cache`), a reference cell the object graph
+    (:func:`benchmark_graph`).
+    """
+    key = (spec.benchmark, spec.scale, n_nodes)
+    if spec.fast:
+        return _CompiledView(compiled_sim_cache(*key), spec.seed)
+    return _ObjectView(benchmark_graph(*key), spec.seed)
+
+
+def _mean_makespan(
+    view: GraphView, machine: MachineSpec, config: SimulationConfig, seeds: Sequence[int]
+) -> float:
+    """The makespan of ``config`` on ``view``, averaged over ``seeds``.
+
+    Seed ``s`` replays ``replace(config, seed=s)`` on either view; one seed
+    passes its makespan through exactly (0 + x == x).
+    """
+    makespans = [sim.makespan_s for sim in view.simulate(machine, config, seeds)]
+    return sum(makespans) / len(makespans)
+
+
+def _appfit_cell(spec: ExperimentSpec) -> Tuple[float, ReplicationDecisions]:
+    """App_FIT on a cell's graph at its multiplier: the threshold and the decisions."""
+    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
+    estimator = ArgumentSizeEstimator(rate_spec.scaled(spec.param("multiplier")))
+    view = _graph_view(spec)
+    threshold = view.threshold(rate_spec)
+    residual: float = spec.param("residual_fit_factor", 0.0)
+    return threshold, view.app_fit(threshold, estimator, residual)
 
 
 # ---------------------------------------------------------------------------------
@@ -258,15 +383,12 @@ class Table1Result:
 def _table1_row(spec: ExperimentSpec) -> ExperimentRow:
     """One Table I row: the benchmark's inventory facts.
 
-    On the fast path the task count comes from the compiled-graph cache, so a
-    warm cache regenerates Table I without building a single task graph; the
-    reference path builds the graph and counts it, as before.
+    The task count comes from the cell's graph view, so on the fast path a
+    warm compiled-graph cache regenerates Table I without building a single
+    task graph.
     """
     bench = benchmark_instance(spec.benchmark, spec.scale)
-    if spec.fast:
-        info = bench.info(n_tasks=compiled_sim_cache(spec.benchmark, spec.scale).n)
-    else:
-        info = bench.info()
+    info = bench.info(n_tasks=_graph_view(spec).n_tasks)
     return {
         "benchmark": info.name,
         "description": info.description,
@@ -345,30 +467,12 @@ class Figure3Result:
 
 @cell_kind("fig3_cell", graphs=_registry_graph)
 def _fig3_cell(spec: ExperimentSpec) -> ExperimentRow:
-    """One Figure 3 cell: App_FIT on one benchmark at one rate multiplier.
-
-    The fast path works entirely from the compiled graph (threshold and
-    decisions from the stored byte/duration arrays); the reference path walks
-    the task descriptors.  Both produce bit-identical rows.
-    """
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    multiplier: float = spec.param("multiplier")
-    residual: float = spec.param("residual_fit_factor", 0.0)
-    estimator = ArgumentSizeEstimator(rate_spec.scaled(multiplier))
-    if spec.fast:
-        compiled = compiled_sim_cache(spec.benchmark, spec.scale).compiled
-        threshold = _appfit_threshold_compiled(compiled, rate_spec)
-        decisions = decide_for_compiled(
-            compiled, threshold, estimator, residual_fit_factor=residual
-        )
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-        threshold = _appfit_threshold(graph, rate_spec)
-        decisions = _appfit_decisions(graph, threshold, estimator, residual)
+    """One Figure 3 cell: App_FIT on one benchmark at one rate multiplier."""
+    threshold, decisions = _appfit_cell(spec)
     audit = decisions.audit
     return {
         "benchmark": spec.benchmark,
-        "multiplier": multiplier,
+        "multiplier": spec.param("multiplier"),
         "n_tasks": decisions.total_tasks,
         "task_fraction": decisions.task_fraction,
         "time_fraction": decisions.time_fraction,
@@ -459,29 +563,12 @@ class Figure4Result:
 
 @cell_kind("fig4_row", graphs=_registry_graph)
 def _fig4_row(spec: ExperimentSpec) -> ExperimentRow:
-    """One Figure 4 row: simulate one benchmark bare and fully replicated.
-
-    The fast path replays the compiled graph (no task objects are built when
-    the compiled-graph cache is warm); the reference path simulates the real
-    graph with the readable event loop.
-    """
+    """One Figure 4 row: replay one benchmark bare and fully replicated, fault-free."""
     cores_per_node: int = spec.param("cores_per_node", 16)
-    bench = benchmark_instance(spec.benchmark, spec.scale)
-    machine = _machine_for(bench, cores_per_node)
-    if spec.fast:
-        cache = compiled_sim_cache(spec.benchmark, spec.scale)
-        baseline = simulate_compiled(
-            cache, machine, SimulationConfig(collect_records=False)
-        )
-        replicated = simulate_compiled(
-            cache,
-            machine,
-            SimulationConfig(replicate_all=True, collect_records=False),
-        )
-    else:
-        graph = bench.build_graph()
-        baseline = simulate_graph(graph, machine, SimulationConfig())
-        replicated = simulate_graph(graph, machine, SimulationConfig(replicate_all=True))
+    machine = _machine_for(benchmark_instance(spec.benchmark, spec.scale), cores_per_node)
+    view = _graph_view(spec)
+    (baseline,) = view.simulate(machine, SimulationConfig(), [0])
+    (replicated,) = view.simulate(machine, SimulationConfig(replicate_all=True), [0])
     return {
         "benchmark": spec.benchmark,
         "baseline_makespan_s": baseline.makespan_s,
@@ -568,21 +655,12 @@ def _fig5_curve(spec: ExperimentSpec) -> List[ExperimentRow]:
     fault_rate: float = spec.param("fault_rate")
     core_counts: Sequence[int] = spec.param("core_counts")
     seeds = _replica_seeds(spec.seed, spec.param("n_seeds", 1))
-    cache = graph = None
-    if spec.fast:
-        cache = compiled_sim_cache(spec.benchmark, spec.scale)
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-    makespans: List[float] = []
-    for cores in core_counts:
-        machine = shared_memory_node(cores=cores)
-        config = SimulationConfig(
-            replicate_all=True,
-            crash_probability=fault_rate,
-            seed=spec.seed,
-            collect_records=not spec.fast,
-        )
-        makespans.append(_mean(_seed_makespans(cache, graph, machine, config, seeds, spec.fast)))
+    view = _graph_view(spec)
+    config = SimulationConfig(replicate_all=True, crash_probability=fault_rate, seed=spec.seed)
+    makespans = [
+        _mean_makespan(view, shared_memory_node(cores=cores), config, seeds)
+        for cores in core_counts
+    ]
     return _speedup_rows(spec.benchmark, fault_rate, list(core_counts), makespans)
 
 
@@ -644,22 +722,12 @@ def _fig6_curve(spec: ExperimentSpec) -> List[ExperimentRow]:
     node_counts: Sequence[int] = spec.param("node_counts")
     cores_per_node: int = spec.param("cores_per_node", 16)
     seeds = _replica_seeds(spec.seed, spec.param("n_seeds", 1))
+    config = SimulationConfig(replicate_all=True, crash_probability=fault_rate, seed=spec.seed)
     makespans: List[float] = []
     core_points: List[int] = []
     for n_nodes in node_counts:
         machine = marenostrum_cluster(n_nodes=n_nodes, cores_per_node=cores_per_node)
-        config = SimulationConfig(
-            replicate_all=True,
-            crash_probability=fault_rate,
-            seed=spec.seed,
-            collect_records=not spec.fast,
-        )
-        cache = graph = None
-        if spec.fast:
-            cache = compiled_sim_cache(spec.benchmark, spec.scale, n_nodes)
-        else:
-            graph = benchmark_graph(spec.benchmark, spec.scale, n_nodes)
-        makespans.append(_mean(_seed_makespans(cache, graph, machine, config, seeds, spec.fast)))
+        makespans.append(_mean_makespan(_graph_view(spec, n_nodes), machine, config, seeds))
         core_points.append(n_nodes * cores_per_node)
     return _speedup_rows(spec.benchmark, fault_rate, core_points, makespans)
 
@@ -750,93 +818,39 @@ class AblationPoliciesResult:
 PolicySelection = Tuple[FrozenSet[int], float, float, float]
 
 
-def _baseline_policy(
-    name: str, budget: Optional[float], estimator: ArgumentSizeEstimator, seed: int
-) -> SelectionPolicy:
-    """The descriptor policy of one baseline: the reference of :func:`decide_baseline`."""
-    if name == "top_fit":
-        return TopFitReplication(budget, estimator)
-    if name == "random":
-        return RandomReplication(budget, rng=RngStream(seed))
-    if name == "complete":
-        return CompleteReplication()
-    raise KeyError(f"unknown sweep policy {name!r}; known: {SWEEP_POLICIES}")
-
-
 def _select(
-    spec: ExperimentSpec,
-    policies: Sequence[str],
-    cache: Optional[SimGraphCache] = None,
-) -> Tuple[int, float, Dict[str, PolicySelection]]:
-    """``(n_tasks, threshold, {policy: selection})`` of one selection cell.
+    spec: ExperimentSpec, policies: Sequence[str], view: GraphView
+) -> Tuple[float, Dict[str, PolicySelection]]:
+    """``(threshold, {policy: selection})`` of one selection cell on ``view``.
 
     The one selection step of the policies ablation, ``repro sweep`` and the
-    workload sweep.  It picks its path once: a fast cell reads only its
-    compiled graph (``cache``, else :func:`compiled_sim_cache`) through the
-    array forms of :mod:`repro.core.vectorized` and
-    :meth:`KnapsackOracle.solve_arrays`; a reference cell walks the task
-    descriptors with the policy classes.  Both return bit-identical
-    selections.  The budget-bounded baselines (``top_fit``, ``random``) reuse
-    App_FIT's replica budget (its task fraction), so comparisons isolate
-    *selection quality* from budget size; App_FIT is decided only when a
-    requested policy needs it, and once per group of cells that differ only
-    in params it does not read (:func:`group_shared`), such as the policy.
+    workload sweep.  The budget-bounded baselines (``top_fit``, ``random``)
+    reuse App_FIT's replica budget (its task fraction), so comparisons
+    isolate *selection quality* from budget size; App_FIT is decided only
+    when a requested policy needs it, and once per group of cells that
+    differ only in params it does not read (:func:`group_shared`), such as
+    the policy.
     """
     rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    residual: float = spec.param("residual_fit_factor", 0.0)
-    scaled_spec = rate_spec.scaled(spec.param("multiplier"))
-    estimator = ArgumentSizeEstimator(scaled_spec)
-    if spec.fast:
-        if cache is None:
-            cache = compiled_sim_cache(spec.benchmark, spec.scale)
-        compiled = cache.compiled
-        n_tasks, threshold = compiled.n, _appfit_threshold_compiled(compiled, rate_spec)
-        ids, durations = compiled.task_ids.tolist(), compiled.durations.tolist()
-        fits = compiled_total_fits(estimator, compiled)
-        fit_list = fits.tolist()
-
-        def app_fit():
-            return decide_for_compiled(compiled, threshold, estimator, residual)
-
-        def baseline(name, budget):
-            return decide_baseline(name, ids, fits, durations, budget, spec.seed)
-
-        def solve(oracle):
-            return oracle.solve_arrays(ids, fit_list, durations)
-
-        def unprotected(chosen):
-            return sum(fit for tid, fit in zip(ids, fit_list) if tid not in chosen)
-
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-        n_tasks, threshold = len(graph), _appfit_threshold(graph, rate_spec)
-
-        def app_fit():
-            return _appfit_decisions(graph, threshold, estimator, residual)
-
-        def baseline(name, budget):
-            return decide_for_graph(graph, _baseline_policy(name, budget, estimator, spec.seed))
-
-        def solve(oracle):
-            return oracle.solve(graph.tasks())
-
-        def unprotected(chosen):
-            return _unprotected_fit(graph, chosen, scaled_spec)
+    estimator = ArgumentSizeEstimator(rate_spec.scaled(spec.param("multiplier")))
+    threshold = view.threshold(rate_spec)
+    baseline, oracle, unprotected = view.selector(estimator)
 
     def chosen_by(dec):
         return frozenset(dec.replicated_ids), dec.task_fraction, dec.time_fraction
 
     appfit = None
     if {"app_fit", "top_fit", "random"} & set(policies):
+        residual: float = spec.param("residual_fit_factor", 0.0)
         appfit = group_shared(
             ("app_fit", spec_without(spec, "policy", "fault_rate", "n_seeds", "cores")),
-            lambda: chosen_by(app_fit()),
+            lambda: chosen_by(view.app_fit(threshold, estimator, residual)),
         )
     budget = appfit[1] if appfit else None
     selections: Dict[str, PolicySelection] = {}
     for name in policies:
         if name == "knapsack_oracle":
-            sol = solve(KnapsackOracle(threshold, estimator))
+            sol = oracle(threshold)
             chosen = (
                 frozenset(sol.replicate_ids),
                 sol.replication_task_fraction,
@@ -845,7 +859,7 @@ def _select(
         else:
             chosen = appfit if name == "app_fit" else chosen_by(baseline(name, budget))
         selections[name] = chosen + (unprotected(chosen[0]),)
-    return n_tasks, threshold, selections
+    return threshold, selections
 
 
 @cell_kind("ablation_policies_cell", graphs=_registry_graph)
@@ -855,11 +869,10 @@ def _ablation_policies_cell(spec: ExperimentSpec) -> List[ExperimentRow]:
     The policies share the App_FIT decision (its task fraction is the replica
     budget of the FIT-oblivious baselines) and the per-task FIT estimates, so
     the whole benchmark is one cell rather than five.  The selection is
-    :func:`_select`'s, so a fast cell reads only the compiled graph.
+    :func:`_select`'s.
     """
-    _, threshold, selections = _select(
-        spec, ("app_fit", "knapsack_oracle", "random", "top_fit", "complete")
-    )
+    policies = ("app_fit", "knapsack_oracle", "random", "top_fit", "complete")
+    threshold, selections = _select(spec, policies, _graph_view(spec))
     rows: List[ExperimentRow] = []
     for policy_name, (_, task_fraction, time_fraction, unprotected) in selections.items():
         rows.append(
@@ -933,23 +946,10 @@ class RateSweepResult:
 @cell_kind("rate_sweep_cell", graphs=_registry_graph)
 def _rate_sweep_cell(spec: ExperimentSpec) -> ExperimentRow:
     """One rate-sweep cell: App_FIT demand at one (multiplier, residual) point."""
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    multiplier: float = spec.param("multiplier")
-    residual: float = spec.param("residual_fit_factor", 0.0)
-    estimator = ArgumentSizeEstimator(rate_spec.scaled(multiplier))
-    if spec.fast:
-        compiled = compiled_sim_cache(spec.benchmark, spec.scale).compiled
-        threshold = _appfit_threshold_compiled(compiled, rate_spec)
-        decisions = decide_for_compiled(
-            compiled, threshold, estimator, residual_fit_factor=residual
-        )
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-        threshold = _appfit_threshold(graph, rate_spec)
-        decisions = _appfit_decisions(graph, threshold, estimator, residual)
+    _, decisions = _appfit_cell(spec)
     return {
-        "multiplier": multiplier,
-        "residual_fit_factor": residual,
+        "multiplier": spec.param("multiplier"),
+        "residual_fit_factor": spec.param("residual_fit_factor", 0.0),
         "task_fraction": decisions.task_fraction,
         "time_fraction": decisions.time_fraction,
     }
@@ -1038,10 +1038,10 @@ def _policy_cell(spec: ExperimentSpec) -> ExperimentRow:
     """One sweep cell: a named policy on one benchmark at one rate multiplier.
 
     The selection is :func:`_select`'s — the same as the policies ablation's,
-    budget framing included — so a fast cell reads only the compiled graph.
+    budget framing included.
     """
     policy_name: str = spec.param("policy")
-    _, threshold, selections = _select(spec, (policy_name,))
+    threshold, selections = _select(spec, (policy_name,), _graph_view(spec))
     _, task_fraction, time_fraction, unprotected = selections[policy_name]
     return {
         "benchmark": spec.benchmark,
@@ -1163,54 +1163,36 @@ def _workload_cell(spec: ExperimentSpec) -> ExperimentRow:
     compiled-graph content address both cover the full workload identity —
     family, every parameter, seed, and (for traces) the file digest.
 
-    The selection is :func:`_select`'s, given the cell's one compiled graph,
-    and the replays run on that graph too, so a fast cell reads nothing else;
-    a reference cell walks the descriptors and the scalar simulator.  Fast
-    and reference rows are bit-identical.
-
-    Within a group of cells on one workload (:func:`group_shared`), the
-    selection is made once per (policy, multiplier), whatever the fault
-    rate, and the unreplicated baseline is replayed once per fault rate,
-    whatever the policy and multiplier.
+    The selection is :func:`_select`'s, and the replays run on the same
+    graph view.  Within a group of cells on one workload
+    (:func:`group_shared`), the selection is made once per (policy,
+    multiplier), whatever the fault rate, and the unreplicated baseline is
+    replayed once per fault rate, whatever the policy and multiplier.
     """
     policy_name: str = spec.param("policy")
     fault_rate: float = spec.param("fault_rate", 0.0)
     seeds = _replica_seeds(spec.seed, spec.param("n_seeds", 1))
     machine = shared_memory_node(cores=spec.param("cores", 16))
-
-    cache = graph = None
-    if spec.fast:
-        cache = compiled_sim_cache(spec.benchmark, spec.scale)
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
+    view = _graph_view(spec)
 
     def select():
-        n_tasks, threshold, selections = _select(spec, (policy_name,), cache)
-        return n_tasks, threshold, selections[policy_name]
+        threshold, selections = _select(spec, (policy_name,), view)
+        return threshold, selections[policy_name]
 
-    n_tasks, threshold, selection = group_shared(
+    threshold, selection = group_shared(
         ("select", spec_without(spec, "fault_rate", "n_seeds", "cores")), select
     )
     replicated_ids, task_fraction, time_fraction, unprotected = selection
-    config = SimulationConfig(
-        crash_probability=fault_rate, seed=spec.seed, collect_records=not spec.fast
-    )
+    config = SimulationConfig(crash_probability=fault_rate, seed=spec.seed)
     baseline_s = group_shared(
         (
             "baseline",
             spec_without(spec, "policy", "multiplier", "rate_spec", "residual_fit_factor"),
         ),
-        lambda: _mean(_seed_makespans(cache, graph, machine, config, seeds, spec.fast)),
+        lambda: _mean_makespan(view, machine, config, seeds),
     )
-    selective_s = _mean(
-        _seed_makespans(
-            cache,
-            graph,
-            machine,
-            replace(config, replicated_ids=replicated_ids),
-            seeds,
-            spec.fast,
-        )
+    selective_s = _mean_makespan(
+        view, machine, replace(config, replicated_ids=replicated_ids), seeds
     )
     overhead = (selective_s - baseline_s) / baseline_s if baseline_s > 0 else 0.0
     return {
@@ -1218,7 +1200,7 @@ def _workload_cell(spec: ExperimentSpec) -> ExperimentRow:
         "policy": policy_name,
         "multiplier": spec.param("multiplier"),
         "fault_rate": fault_rate,
-        "n_tasks": n_tasks,
+        "n_tasks": view.n_tasks,
         "task_fraction": task_fraction,
         "time_fraction": time_fraction,
         "unprotected_fit": unprotected,

@@ -53,6 +53,7 @@ import os
 import threading
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -60,6 +61,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -493,20 +495,37 @@ def _build_graph(key: GraphKey) -> None:
 #: The memo of the group this thread is running (``memo`` is ``None``
 #: outside a group), see :func:`group_shared`.  A cell takes only its spec,
 #: so the memo reaches it here; it is per thread, so a cell that another
-#: thread runs (a service worker's drain) never sees a group it is not in.
+#: thread runs (another service worker's drain) never sees a group it is
+#: not in.
 _GROUP = threading.local()
+
+
+@contextmanager
+def cell_group() -> Iterator[None]:
+    """Run the block as one group of cells: they share :func:`group_shared` values.
+
+    The memo is created when the block starts and dropped when it ends, so
+    nothing a group computes outlives it.  An engine group
+    (:func:`_run_group`) and a lease drain's ``map``
+    (:class:`~repro.serve.workers.LeaseDrainEngine`) each run in one.
+    """
+    outer = getattr(_GROUP, "memo", None)
+    _GROUP.memo = {}
+    try:
+        yield
+    finally:
+        _GROUP.memo = outer
 
 
 def group_shared(key: Hashable, compute: Callable[[], T]) -> T:
     """``compute()``, computed once per key within the running group of cells.
 
-    Inside a group (:func:`_run_group`) the value is memoised under ``key``
+    Inside a group (:func:`cell_group`) the value is memoised under ``key``
     in a dict that is created when the group starts and dropped when it
-    ends; outside one (a plain :func:`run_cell`, the service's lease drain)
-    this just calls ``compute()``.  Build ``key`` with :func:`spec_without`,
-    so every param the value may read is in it.  Shared values are handed to
-    every cell of the group, so they must be read-only: frozensets, tuples
-    and numbers.
+    ends; outside one (a plain :func:`run_cell`) this just calls
+    ``compute()``.  Build ``key`` with :func:`spec_without`, so every param
+    the value may read is in it.  Shared values are handed to every cell of
+    the group, so they must be read-only: frozensets, tuples and numbers.
     """
     memo = getattr(_GROUP, "memo", None)
     if memo is None:
@@ -586,12 +605,8 @@ def _run_group(
     cells share values through :func:`group_shared` for as long as the group
     runs, and nothing after it.
     """
-    outer = getattr(_GROUP, "memo", None)
-    _GROUP.memo = {}
-    try:
+    with cell_group():
         return [_run_cell_timed(spec, key, tracer) for spec, key in cells]
-    finally:
-        _GROUP.memo = outer
 
 
 def _run_cell_timed(

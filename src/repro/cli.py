@@ -50,7 +50,6 @@ from repro.analysis.targets import (
     TargetOutput,
     render_artifact_texts,
     resolve_targets,
-    workload_sweep_recorded_text,
 )
 from repro.obs.maintenance import obs_clear, obs_gc, obs_stats
 from repro.obs.trace import configure_trace_root
@@ -650,103 +649,53 @@ def _run_targets(args: argparse.Namespace, strict: bool = False) -> int:
     return 0
 
 
-def _run_workload_sweep(args: argparse.Namespace) -> int:
-    """`repro sweep --workload`: policies x rates x fault rates on workloads."""
-    from repro.analysis.experiments import workload_sweep
+def _run_sweep(args: argparse.Namespace) -> int:
+    """`repro sweep`: a benchmark or workload x policy x multiplier grid.
 
+    The grid is the request the service would take for it, run through
+    :func:`~repro.serve.jobs.execute_request`, so the artifacts are the
+    bytes the service composes for that request.
+    """
+    from repro.apps.registry import all_benchmark_names
+    from repro.serve.jobs import execute_request
+
+    if args.workload and args.benchmarks:
+        print("repro: --workload and --benchmarks are mutually exclusive", file=sys.stderr)
+        return 2
     engine = _make_engine(args)
+    request: Dict[str, Any] = {
+        "scale": args.scale,
+        "seed": args.seed,
+        "n_seeds": args.n_seeds,
+        "fast": engine.fast,
+        "policies": list(args.policies),
+        "multipliers": list(args.multipliers),
+        "residual_fit_factor": args.residual_fit_factor,
+    }
+    if args.workload:
+        request.update(
+            type="workload_sweep",
+            workloads=list(args.workload),
+            fault_rates=list(args.fault_rates),
+        )
+        label, name = "workload sweep", "workload_sweep" if args.name == "sweep" else args.name
+    else:
+        request.update(type="sweep", benchmarks=list(args.benchmarks or all_benchmark_names()))
+        label, name = "sweep", args.name
     t0 = time.perf_counter()
     computed0, cached0 = engine.cells_computed, engine.cells_cached
     try:
-        result = workload_sweep(
-            workloads=args.workload,
-            policies=args.policies,
-            multipliers=args.multipliers,
-            fault_rates=args.fault_rates,
-            scale=args.scale,
-            seed=args.seed,
-            n_seeds=args.n_seeds,
-            residual_fit_factor=args.residual_fit_factor,
-            engine=engine,
-        )
+        output, meta = execute_request(request, engine)
     except (KeyError, ValueError) as exc:
         print(f"repro: {exc.args[0]}", file=sys.stderr)
         return 2
     computed = engine.cells_computed - computed0
     cached = engine.cells_cached - cached0
-    text = workload_sweep_recorded_text(result)
-    output = TargetOutput(result=result, text=text, rows=list(result.rows))
-    meta = {
-        "target": "workload-sweep",
-        "workloads": sorted({str(r["workload"]) for r in result.rows}),
-        "policies": list(args.policies),
-        "multipliers": list(args.multipliers),
-        "fault_rates": list(args.fault_rates),
-        "scale": args.scale,
-        "seed": args.seed,
-        "n_seeds": args.n_seeds,
-        "fast": engine.fast,
-        "code_version": code_version(),
-    }
-    name = args.name if args.name != "sweep" else "workload_sweep"
     paths = _write_artifacts(args.out, name, output, meta)
-    if not args.quiet:
-        print(text)
-        print(
-            f"\nworkload sweep: {computed + cached} cells ({computed} computed, "
-            f"{cached} cached) in {time.perf_counter() - t0:.2f} s -> {paths[0]}"
-        )
-    return 0
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    """`repro sweep`: an arbitrary benchmark x policy x multiplier grid."""
-    from repro.analysis.experiments import sweep_policies
-    from repro.apps.registry import all_benchmark_names
-
-    if args.workload:
-        if args.benchmarks:
-            print(
-                "repro: --workload and --benchmarks are mutually exclusive",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_workload_sweep(args)
-    benchmarks = args.benchmarks or all_benchmark_names()
-    engine = _make_engine(args)
-    t0 = time.perf_counter()
-    computed0, cached0 = engine.cells_computed, engine.cells_cached
-    try:
-        result = sweep_policies(
-            benchmarks=benchmarks,
-            policies=args.policies,
-            multipliers=args.multipliers,
-            scale=args.scale,
-            seed=args.seed,
-            residual_fit_factor=args.residual_fit_factor,
-            engine=engine,
-        )
-    except KeyError as exc:
-        print(f"repro: {exc.args[0]}", file=sys.stderr)
-        return 2
-    computed = engine.cells_computed - computed0
-    cached = engine.cells_cached - cached0
-    output = TargetOutput(result=result, text=result.render(), rows=list(result.rows))
-    meta = {
-        "target": "sweep",
-        "benchmarks": list(benchmarks),
-        "policies": list(args.policies),
-        "multipliers": list(args.multipliers),
-        "scale": args.scale,
-        "seed": args.seed,
-        "fast": engine.fast,
-        "code_version": code_version(),
-    }
-    paths = _write_artifacts(args.out, args.name, output, meta)
     if not args.quiet:
         print(output.text)
         print(
-            f"\nsweep: {computed + cached} cells ({computed} computed, "
+            f"\n{label}: {computed + cached} cells ({computed} computed, "
             f"{cached} cached) in {time.perf_counter() - t0:.2f} s -> {paths[0]}"
         )
     return 0
@@ -1061,10 +1010,19 @@ def _http_bytes(
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """`repro serve`: the HTTP service, or (with --worker) one drain process."""
+    """`repro serve`: the HTTP service, or (with --worker) one drain process.
+
+    Every knob is read first (:func:`repro.settings.check`): a bad value is
+    a usage error, reported before any socket is bound or line printed.
+    """
     from repro.serve.app import ReproServer
     from repro.serve.workers import SweepWorker
 
+    try:
+        settings.check()
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     _configure_caches(args)
     if args.worker:
         # A worker *process* takes chaos kills as a genuine SIGKILL —

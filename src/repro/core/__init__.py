@@ -47,9 +47,7 @@ _EXPORTS = {
     "SelectionDecision": "repro.core.heuristic",
     "SelectionPolicy": "repro.core.heuristic",
     "CompleteReplication": "repro.core.policies",
-    "FitThresholdPolicy": "repro.core.policies",
     "NoReplication": "repro.core.policies",
-    "PeriodicReplication": "repro.core.policies",
     "RandomReplication": "repro.core.policies",
     "TopFitReplication": "repro.core.policies",
     "KnapsackOracle": "repro.core.knapsack",
@@ -88,12 +86,10 @@ __all__ = [
     "FailureRateEstimator",
     "FitAccount",
     "FitAudit",
-    "FitThresholdPolicy",
     "KnapsackOracle",
     "KnapsackSolution",
     "NoReplication",
     "OutputComparator",
-    "PeriodicReplication",
     "RandomReplication",
     "ReplicationConfig",
     "ReplicationDecisions",

@@ -3,9 +3,9 @@
 The paper's evaluation uses two extremes — complete replication (Section V-A2)
 and, implicitly, no replication (the fault-free baseline) — and notes that
 optimal selection is a bounded-knapsack problem.  This module provides those
-two extremes plus simple selective baselines (random, periodic, per-task FIT
-threshold, offline top-FIT) used by the ablation benchmarks to show where a
-budget-aware heuristic earns its keep.
+two extremes plus two selective baselines (random and offline top-FIT) used
+by the ablation benchmarks to show where a budget-aware heuristic earns its
+keep.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.core.estimator import ArgumentSizeEstimator, FailureRateEstimator
 from repro.core.heuristic import SelectionDecision, SelectionPolicy
 from repro.runtime.task import TaskDescriptor
 from repro.util.rng import RngStream
-from repro.util.validation import check_fraction, check_non_negative, check_positive_int
+from repro.util.validation import check_fraction
 
 
 class _CountingPolicy(SelectionPolicy):
@@ -82,48 +82,6 @@ class RandomReplication(_CountingPolicy):
     def decide(self, task: TaskDescriptor) -> SelectionDecision:
         """Replicate with fixed probability."""
         return self._record(task, self.rng.bernoulli(self.probability))
-
-
-class PeriodicReplication(_CountingPolicy):
-    """Replicate every ``period``-th task (1 = complete replication)."""
-
-    name = "periodic"
-
-    def __init__(self, period: int) -> None:
-        super().__init__()
-        self.period = check_positive_int(period, "period")
-        self._count = 0
-
-    def decide(self, task: TaskDescriptor) -> SelectionDecision:
-        """Replicate tasks whose arrival index is a multiple of the period."""
-        self._count += 1
-        return self._record(task, self._count % self.period == 0)
-
-
-class FitThresholdPolicy(_CountingPolicy):
-    """Replicate tasks whose own FIT exceeds a fixed per-task threshold.
-
-    Unlike App_FIT this policy has no notion of an application budget: it needs
-    the per-task threshold tuned by hand for every application and error rate.
-    """
-
-    name = "fit_threshold"
-
-    def __init__(
-        self,
-        per_task_fit_threshold: float,
-        estimator: Optional[FailureRateEstimator] = None,
-    ) -> None:
-        super().__init__()
-        self.per_task_fit_threshold = check_non_negative(
-            per_task_fit_threshold, "per_task_fit_threshold"
-        )
-        self.estimator = estimator if estimator is not None else ArgumentSizeEstimator()
-
-    def decide(self, task: TaskDescriptor) -> SelectionDecision:
-        """Replicate iff the task's estimated FIT exceeds the fixed threshold."""
-        fit = self.estimator.estimate(task).total_fit
-        return self._record(task, fit > self.per_task_fit_threshold, task_fit=fit)
 
 
 class TopFitReplication(_CountingPolicy):

@@ -25,7 +25,7 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import settings
-from repro.analysis.runner import ExperimentEngine, ExperimentSpec, run_cell
+from repro.analysis.runner import ExperimentEngine, ExperimentSpec, cell_group, run_cell
 from repro.analysis.store import ResultStore
 from repro.obs.metrics import inc as metrics_inc
 from repro.obs.metrics import observe as metrics_observe
@@ -121,7 +121,13 @@ class LeaseDrainEngine(ExperimentEngine):
         self._chaos = active_chaos(store.root)
 
     def map(self, specs: Sequence[ExperimentSpec]) -> List[Any]:
-        """Drain one grid: claim-compute-release misses, await foreign leases."""
+        """Drain one grid: claim-compute-release misses, await foreign leases.
+
+        The cells this drain computes run as one group (:func:`cell_group`):
+        they share what they compute alike, such as a workload sweep's App_FIT
+        selection and unreplicated baseline, until the map returns.  Leases,
+        attempt claims, poison tombstones and heartbeats stay per cell.
+        """
         specs = list(specs)
         total = len(specs)
         keys = [self.store.key(spec) for spec in specs]
@@ -130,18 +136,20 @@ class LeaseDrainEngine(ExperimentEngine):
         computed0, cached0 = self.cells_computed, self.cells_cached
         payloads: List[Any] = [None] * total
         pending = set(range(total))
-        while pending:
-            if self._stop.is_set():
-                raise RuntimeError("drain interrupted by shutdown")
-            progressed = False
-            for i in sorted(pending):
-                if self._fill(specs[i], keys[i], payloads, i):
-                    pending.discard(i)
-                    progressed = True
-            if pending and not progressed:
-                # Every remaining cell is leased by another worker: wait for
-                # results to land (or leases to expire) instead of spinning.
-                time.sleep(self.poll_interval_s)
+        with cell_group():
+            while pending:
+                if self._stop.is_set():
+                    raise RuntimeError("drain interrupted by shutdown")
+                progressed = False
+                for i in sorted(pending):
+                    if self._fill(specs[i], keys[i], payloads, i):
+                        pending.discard(i)
+                        progressed = True
+                if pending and not progressed:
+                    # Every remaining cell is leased by another worker: wait
+                    # for results to land (or leases to expire) instead of
+                    # spinning.
+                    time.sleep(self.poll_interval_s)
         self.last_stats = (
             self.cells_computed - computed0,
             self.cells_cached - cached0,

@@ -1,8 +1,14 @@
 """Tests for repro.analysis — metrics and the figure/table experiment drivers.
 
 These run at very small scales so the whole module stays fast; the benchmark
-harness in ``benchmarks/`` runs the same drivers at larger scales.
+harness in ``benchmarks/`` runs the same drivers at larger scales.  A stdlib
+``ast`` walk pins the one seam between the fast and the reference path:
+only the functions that choose a cell's graph view read ``spec.fast``.
 """
+
+import ast
+import pathlib
+from typing import List
 
 import pytest
 
@@ -208,3 +214,64 @@ class TestQuickstartAndReference:
 
     def test_qualitative_checks_empty_for_no_input(self):
         assert qualitative_checks() == []
+
+
+# ---------------------------------------------------------------------------------
+# the fast/reference seam
+# ---------------------------------------------------------------------------------
+
+EXPERIMENTS = (
+    pathlib.Path(__file__).resolve().parents[1] / "src" / "repro" / "analysis" / "experiments.py"
+)
+
+#: The functions that choose a cell's path: the graph view a cell reads and
+#: the compiled graphs a fast cell declares.  Every other function reads a view.
+PATH_CHOOSERS = frozenset({"_graph_view", "_registry_graph", "_fig6_graphs"})
+
+
+def spec_fast_reads(source: str) -> List[str]:
+    """Every ``spec.fast`` read, as ``function (line N)`` of its innermost function."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "fast"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "spec"
+            ):
+                found.append(f"{owner} (line {child.lineno})")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_flags_every_spec_fast_read():
+    source = (
+        "flag = spec.fast\n"
+        "def _graph_view(spec):\n"
+        "    return spec.fast\n"
+        "def cell(spec, other):\n"
+        "    if spec.fast:\n"
+        "        def inner():\n"
+        "            return spec.fast\n"
+        "    return other.fast\n"
+    )
+    assert spec_fast_reads(source) == [
+        "<module> (line 1)",
+        "_graph_view (line 3)",
+        "cell (line 5)",
+        "inner (line 7)",
+    ]
+
+
+def test_only_the_path_choosers_read_spec_fast():
+    reads = spec_fast_reads(EXPERIMENTS.read_text(encoding="utf-8"))
+    offenders = [read for read in reads if read.split(" ")[0] not in PATH_CHOOSERS]
+    assert not offenders, f"read the cell's graph view (_graph_view) instead: {offenders}"
+    assert {read.split(" ")[0] for read in reads} == PATH_CHOOSERS

@@ -323,6 +323,35 @@ def test_workload_sweep_bad_spec_is_a_usage_error(dirs, capsys):
     assert "unknown workload family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (
+            ("--benchmarks", "cholesky", "--scale", SCALE),
+            {"benchmarks": ["cholesky"], "scale": float(SCALE)},
+        ),
+        (
+            ("--workload", "layered:depth=6,width=4,seed=1"),
+            {"workloads": ["layered:depth=6,width=4,seed=1"]},
+        ),
+    ],
+    ids=["benchmarks", "workload"],
+)
+def test_sweep_artifacts_are_the_bytes_the_service_composes(dirs, capsys, argv, doc):
+    from repro.serve.jobs import artifact_stem, compose_artifacts, normalize_request
+
+    out, cache = dirs
+    assert run_cli("sweep", *argv, "--out", out, "--cache-dir", cache) == 0
+    capsys.readouterr()
+    request = normalize_request(doc)
+    composed = compose_artifacts(request, root=cache)
+    assert sorted(composed) == ["csv", "json", "txt"]
+    for fmt, content in composed.items():
+        path = os.path.join(out, f"{artifact_stem(request)}.{fmt}")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == content, fmt
+
+
 def test_workloads_ls_describe(capsys):
     assert run_cli("workloads", "ls") == 0
     ls_out = capsys.readouterr().out

@@ -11,9 +11,7 @@ from repro.core.estimator import (
 from repro.core.heuristic import AppFit
 from repro.core.policies import (
     CompleteReplication,
-    FitThresholdPolicy,
     NoReplication,
-    PeriodicReplication,
     RandomReplication,
     TopFitReplication,
 )
@@ -178,26 +176,6 @@ class TestBaselinePolicies:
         assert decide_for_graph(graph, RandomReplication(0.0)).task_fraction == 0.0
         assert decide_for_graph(graph, RandomReplication(1.0)).task_fraction == 1.0
 
-    def test_periodic_replication(self):
-        graph = uniform_graph(100)
-        decisions = decide_for_graph(graph, PeriodicReplication(4))
-        assert decisions.task_fraction == pytest.approx(0.25)
-
-    def test_periodic_one_is_complete(self):
-        graph = uniform_graph(20)
-        assert decide_for_graph(graph, PeriodicReplication(1)).task_fraction == 1.0
-
-    def test_fit_threshold_policy(self):
-        from repro.runtime.graph import TaskGraph
-
-        graph = TaskGraph()
-        for i in range(10):
-            graph.add_task(make_task(i, size_bytes=(100 * MIB if i < 3 else MIB)))
-        est = ArgumentSizeEstimator()
-        cutoff = est.estimate(make_task(999, size_bytes=10 * MIB)).total_fit
-        decisions = decide_for_graph(graph, FitThresholdPolicy(cutoff, est))
-        assert decisions.replicated_tasks == 3
-
     def test_top_fit_requires_prepare(self):
         policy = TopFitReplication(0.5)
         with pytest.raises(RuntimeError):
@@ -215,9 +193,5 @@ class TestBaselinePolicies:
     def test_invalid_policy_parameters(self):
         with pytest.raises(ValueError):
             RandomReplication(1.5)
-        with pytest.raises(ValueError):
-            PeriodicReplication(0)
-        with pytest.raises(ValueError):
-            FitThresholdPolicy(-1.0)
         with pytest.raises(ValueError):
             TopFitReplication(2.0)

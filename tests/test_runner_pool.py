@@ -42,7 +42,7 @@ from repro.cli import main
 from repro.obs.report import read_trace
 from repro.runtime.compiled import CompiledGraphStore
 from repro.serve.leases import LeaseHeartbeat, LeaseStore
-from repro.serve.workers import LeaseDrainEngine
+from repro.serve.workers import LeaseDrainEngine, SweepWorker
 from repro.workloads import canonical_workload_name
 
 SCALE = 0.05
@@ -348,14 +348,69 @@ def test_a_cell_outside_any_group_computes_every_time(probe):
     assert len(probe.computed) == 2
 
 
-def test_a_lease_drain_shares_nothing(probe, tmp_path):
+def test_a_lease_drain_map_is_one_group(probe, tmp_path):
     leases = LeaseStore(str(tmp_path), owner="w", ttl_s=30.0)
     engine = LeaseDrainEngine(
         store=ResultStore(str(tmp_path)), leases=leases, heartbeat=LeaseHeartbeat(leases)
     )
     tokens = engine.map([probe("a", i) for i in range(3)])
-    assert len(set(tokens)) == 3
-    assert len(probe.computed) == 3
+    assert len(set(tokens)) == 1
+    assert len(probe.computed) == 1
+    # Nothing outlives a map: the next one computes its value again.
+    again = engine.map([probe("a", i) for i in range(3, 6)])
+    assert len(set(again)) == 1
+    assert again[0] != tokens[0]
+    assert len(probe.computed) == 2
+
+
+def test_a_drained_cold_job_decides_and_replays_each_distinct_value_once(
+    tmp_path, monkeypatch
+):
+    """The service's cold job, drained by one worker: App_FIT is decided once
+    per multiplier and the baseline replayed once per fault rate, as in an
+    engine group.  That is 2 decisions (4 without sharing) and 6 kernel calls
+    over 1 + 4 + 2 * (1 + 4) = 15 lanes (8 calls over 20 lanes without)."""
+    import repro.analysis.experiments as experiments
+    from repro.simulator.backend import (
+        BackendUnavailable,
+        CExtBackend,
+        reset_backends,
+        resolve_backend,
+    )
+
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "cext")
+    reset_backends()
+    try:
+        resolve_backend()
+    except BackendUnavailable as exc:
+        pytest.skip(f"cext backend unavailable: {exc}")
+    decided, lanes = [], []
+    real_decide, real_run = experiments.decide_for_compiled, CExtBackend.run_batch
+
+    def decide(*args, **kwargs):
+        decided.append(args[0])
+        return real_decide(*args, **kwargs)
+
+    def run_batch(self, n_lanes, *args):
+        lanes.append(n_lanes)
+        return real_run(self, n_lanes, *args)
+
+    monkeypatch.setattr(experiments, "decide_for_compiled", decide)
+    monkeypatch.setattr(CExtBackend, "run_batch", run_batch)
+    worker = SweepWorker(str(tmp_path), ttl_s=30.0)
+    job = worker.jobs.submit(
+        {
+            "workloads": ["layered:depth=60,width=50,seed=0"],
+            "multipliers": [10.0, 5.0],
+            "fault_rates": [0.0, 0.01],
+            "n_seeds": 4,
+        }
+    )
+    assert worker.run_once() == 1
+    assert worker.jobs.status(job["id"])["state"] == "done"
+    assert len(decided) == 2
+    assert len(lanes) == 6
+    assert sum(lanes) == 15
 
 
 def test_the_pool_takes_the_largest_groups_first(probe, tmp_path):

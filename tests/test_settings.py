@@ -4,7 +4,8 @@
 * a value a knob's parser rejects fails with an error naming the knob, also
   through the entry points that once replaced it with the default;
 * ``settings.check()`` names every bad knob at once, and the service and
-  its worker loop check them all before they start a thread;
+  its worker loop check them all before they start a thread (``repro
+  serve`` before it prints a line);
 * only ``repro/settings.py`` reads the process environment (a stdlib
   ``ast`` walk over ``src/repro``);
 * the README's Configuration table documents exactly the table's knobs.
@@ -21,6 +22,7 @@ import pytest
 from repro import settings
 from repro.analysis import runner
 from repro.analysis.store import ResultStore
+from repro.cli import main
 from repro.obs.metrics import snapshot_path, write_snapshot
 from repro.serve.app import ReproServer, default_bind
 from repro.serve.leases import LeaseStore
@@ -165,6 +167,18 @@ def test_worker_loop_fails_on_a_bad_knob_before_any_thread(tmp_path, monkeypatch
     with pytest.raises(ValueError, match="REPRO_METRICS='maybe'"):
         SweepWorker(str(tmp_path)).run_forever(idle_exit=True)
     assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("mode", [(), ("--worker",)], ids=["server", "worker"])
+def test_repro_serve_reports_a_bad_knob_before_it_starts(tmp_path, monkeypatch, capsys, mode):
+    monkeypatch.setenv("REPRO_METRICS", "maybe")
+    argv = ["serve", "--port", "0", "--workers", "1", "--cache-dir", str(tmp_path), *mode]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro: REPRO_METRICS='maybe'")
 
 
 def test_unknown_knob_is_a_key_error():
