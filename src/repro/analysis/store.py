@@ -44,7 +44,8 @@ from repro import settings
 from repro.analysis.runner import ExperimentSpec
 
 # Shared with the compiled-graph store: one version scheme.
-from repro.runtime.compiled import code_version, unique_tmp_path
+from repro.runtime.compiled import code_version
+from repro.util import durable
 
 #: Bump when the record layout changes (distinct from the code version, which
 #: tracks the *semantics* of cell functions).
@@ -60,7 +61,7 @@ LEASE_SUFFIX: str = ".lease"
 
 #: Attempt markers (``<key>.attempt.<n>``) are the crash-persistent retry
 #: ledger of a cell: each computation attempt first claims the lowest free
-#: ordinal with an O_EXCL create, so attempt indices are globally unique
+#: ordinal with a single-winner create, so attempt indices are globally unique
 #: across workers, processes, and restarts — which is also what keys the
 #: chaos engine's per-attempt fault draws (a kill injected at attempt ``n``
 #: never re-fires, because the restarted worker claims ``n+1``).
@@ -149,10 +150,8 @@ class ResultStore:
     """A directory of content-addressed cell records.
 
     Records live two levels deep (``<root>/<key[:2]>/<key>.json``) so even
-    very large sweeps keep directory listings manageable.  Writes go through
-    a temp file + ``os.replace`` so interrupted runs never leave a partially
-    written record behind — at worst the temp file is orphaned and ``gc``
-    collects it.
+    very large sweeps keep directory listings manageable.  Every write goes
+    through :mod:`repro.util.durable`, so no reader sees a partial record.
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
@@ -200,7 +199,7 @@ class ResultStore:
         record = self._load(self.path_for(key))
         if record is None or record.key != key:
             if record is not None:
-                self._quarantine(self.path_for(key))
+                durable.remove(self.path_for(key))
             return None
         return record
 
@@ -221,7 +220,7 @@ class ResultStore:
         except FileNotFoundError:
             return None
         except ValueError:  # bad JSON — the record itself is broken
-            self._quarantine(path)
+            durable.remove(path)
             return None
         except OSError:  # transient read failure — the record may be fine
             return None
@@ -235,16 +234,8 @@ class ResultStore:
                 elapsed_s=doc.get("elapsed_s"),
             )
         except (KeyError, TypeError):  # parseable JSON, wrong shape
-            self._quarantine(path)
+            durable.remove(path)
             return None
-
-    @staticmethod
-    def _quarantine(path: str) -> None:
-        """Best-effort removal of a record file that must not be served again."""
-        try:
-            os.remove(path)
-        except OSError:
-            pass
 
     # -- write ----------------------------------------------------------------
 
@@ -265,12 +256,12 @@ class ResultStore:
     ) -> StoreRecord:
         """Persist one computed cell and return its record.
 
-        Publication is a temp-file write plus ``os.replace``, so a reader can
-        never observe a half-written *record* — which is also why injected
-        store-write chaos fails *before* the rename (a torn temp file plus an
-        EIO, the shape of a crash mid-write), never after: the published
-        namespace stays atomic even under fault injection, and the caller's
-        bounded retry simply rewrites the temp.
+        The record is staged and then moved into place, so a reader never
+        sees a half-written one.  Injected store-write chaos therefore fails
+        *inside* the staged write (a torn temp file plus an EIO, the shape of
+        a failed write), never after the move: the published namespace stays
+        atomic under fault injection, and the caller's bounded retry simply
+        writes again.
         """
         key = self.key(spec)
         record = StoreRecord(
@@ -281,21 +272,18 @@ class ResultStore:
             created_at=time.time(),
             elapsed_s=elapsed_s,
         )
-        path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = unique_tmp_path(path)
+        blob = json.dumps(record.to_json())
         chaos = self._chaos()
-        if chaos is not None and chaos.store_put_fails(key):
-            from repro.serve.chaos import ChaosInjectedIOError
-
+        with durable.staged(self.path_for(key)) as tmp:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_json())[:64])
-            raise ChaosInjectedIOError(f"injected EIO writing record {key[:12]}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record.to_json(), fh)
-        if chaos is not None:
-            chaos.rename_delay(key)
-        os.replace(tmp, path)
+                if chaos is not None and chaos.store_put_fails(key):
+                    from repro.serve.chaos import ChaosInjectedIOError
+
+                    fh.write(blob[:64])
+                    raise ChaosInjectedIOError(f"injected EIO writing record {key[:12]}")
+                fh.write(blob)
+            if chaos is not None:
+                chaos.rename_delay(key)
         return record
 
     # -- attempt registry & poison quarantine ----------------------------------
@@ -303,50 +291,34 @@ class ResultStore:
     def claim_attempt(self, key: str, owner: str, budget: Optional[int] = None) -> Optional[int]:
         """Claim the next attempt ordinal for a cell, or ``None`` if exhausted.
 
-        O_EXCL creation of ``<key>.attempt.<n>`` makes each ordinal single-
-        winner across every worker process, and the markers persist across
+        A single-winner create of ``<key>.attempt.<n>`` makes each ordinal
+        unique across every worker process, and the markers persist across
         crashes — a worker killed mid-attempt leaves its marker behind, so the
         attempt still counts against the budget (a crash-looping cell cannot
-        retry forever).
+        retry forever).  ``None`` means only that the budget is spent; an I/O
+        error raises, so it can never poison a cell that did not run.
         """
         if budget is None:
             budget = settings.get("REPRO_CELL_ATTEMPTS")
-        path0 = self.attempt_path_for(key, 0)
-        os.makedirs(os.path.dirname(path0), exist_ok=True)
         doc = {"key": key, "owner": owner, "started_at": time.time()}
         for n in range(budget):
-            try:
-                fd = os.open(
-                    self.attempt_path_for(key, n),
-                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                )
-            except FileExistsError:
-                continue
-            except OSError:
-                return None
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({**doc, "attempt": n}, fh)
-            return n
+            if durable.create_once(
+                self.attempt_path_for(key, n), json.dumps({**doc, "attempt": n})
+            ):
+                return n
         return None
 
     def record_attempt_failure(self, key: str, n: int, error: str) -> None:
         """Attach the failure reason to an attempt marker (atomic rewrite)."""
         path = self.attempt_path_for(key, n)
         doc: Dict[str, Any] = {"key": key, "attempt": n}
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc.update(json.load(fh))
-        except (OSError, ValueError):
-            pass
+        doc.update(durable.read_json(path) or {})
         doc["error"] = error
         doc["failed_at"] = time.time()
-        tmp = unique_tmp_path(path)
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, path)
+            durable.publish(path, json.dumps(doc))
         except OSError:  # best effort: the marker's existence is what counts
-            self._quarantine(tmp)
+            pass
 
     def attempts(self, key: str) -> List[Dict[str, Any]]:
         """Every attempt marker of a cell, in attempt order."""
@@ -365,11 +337,7 @@ class ResultStore:
             except ValueError:
                 continue
             doc: Dict[str, Any] = {"key": key, "attempt": n}
-            try:
-                with open(os.path.join(shard_dir, name), "r", encoding="utf-8") as fh:
-                    doc.update(json.load(fh))
-            except (OSError, ValueError):
-                pass
+            doc.update(durable.read_json(os.path.join(shard_dir, name)) or {})
             out.append(doc)
         out.sort(key=lambda d: d["attempt"])
         return out
@@ -382,29 +350,17 @@ class ResultStore:
         followed by cache hits, never by a fresh attempt.
         """
         for doc in self.attempts(key):
-            self._quarantine(self.attempt_path_for(key, doc["attempt"]))
+            durable.remove(self.attempt_path_for(key, doc["attempt"]))
 
     def write_poison(self, key: str, doc: Dict[str, Any]) -> bool:
         """Publish a cell's quarantine tombstone (write-once, single winner)."""
-        path = self.poison_path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except (FileExistsError, OSError):
-            return False
         payload = {"key": key, "code_version": code_version(), "created_at": time.time()}
         payload.update(doc)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        return True
+        return durable.create_once(self.poison_path_for(key), json.dumps(payload))
 
     def read_poison(self, key: str) -> Optional[Dict[str, Any]]:
         """A cell's quarantine tombstone, or ``None`` if it is not poisoned."""
-        try:
-            with open(self.poison_path_for(key), "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
+        return durable.read_json(self.poison_path_for(key))
 
     # -- maintenance -----------------------------------------------------------
 
@@ -537,7 +493,7 @@ class ResultStore:
             else:
                 leases_live += 1
         attempts = len(
-            self._suffix_paths(lambda n: ATTEMPT_INFIX in n and ".tmp." not in n)
+            self._suffix_paths(lambda n: ATTEMPT_INFIX in n and not durable.is_temp(n))
         )
         poisoned = len(self._suffix_paths(lambda n: n.endswith(POISON_SUFFIX)))
         return {
@@ -594,11 +550,11 @@ class ResultStore:
             stale_worker_age_s = 3.0 * settings.get("REPRO_LEASE_TTL_S")
         for path in self._worker_liveness_paths():
             try:
-                if os.path.getmtime(path) + stale_worker_age_s < now:
-                    os.remove(path)
-                    workers_stale += 1
+                stale = os.path.getmtime(path) + stale_worker_age_s < now
             except OSError:
                 continue
+            if stale and durable.remove(path):
+                workers_stale += 1
         for shard in sorted(os.listdir(self.root)):
             shard_dir = os.path.join(self.root, shard)
             if not os.path.isdir(shard_dir):
@@ -608,36 +564,31 @@ class ResultStore:
                 if ".reclaim." in name:
                     # A reclaim tombstone survives only if the reclaiming
                     # worker crashed between rename and unlink; always stale.
-                    self._quarantine(path)
+                    durable.remove(path)
                     lease_expired += 1
                     continue
                 if name.endswith(LEASE_SUFFIX):
                     expired = self._lease_expired(path, now)
                     if expired:
-                        self._quarantine(path)
+                        durable.remove(path)
                         lease_expired += 1
                     elif expired is not None:
                         lease_live += 1
                     continue
-                if ".tmp." in name:
-                    self._quarantine(path)
+                if durable.is_temp(name):
+                    durable.remove(path)
                     removed_tmp += 1
                     continue
                 if ATTEMPT_INFIX in name:
                     key = name.split(ATTEMPT_INFIX, 1)[0]
                     if os.path.exists(os.path.join(shard_dir, key + ".json")):
-                        self._quarantine(path)
+                        durable.remove(path)
                         removed_attempts += 1
                     continue
                 if name.endswith(POISON_SUFFIX):
-                    try:
-                        with open(path, "r", encoding="utf-8") as fh:
-                            doc = json.load(fh)
-                        fresh = doc.get("code_version") == current
-                    except (OSError, ValueError):
-                        fresh = False
-                    if not fresh:
-                        self._quarantine(path)
+                    doc = durable.read_json(path) or {}
+                    if doc.get("code_version") != current:
+                        durable.remove(path)
                         poison_stale += 1
                     continue
                 if not name.endswith(".json"):
@@ -650,7 +601,7 @@ class ResultStore:
                         removed_corrupt += 1
                     continue
                 if record.code_version != current:
-                    self._quarantine(path)
+                    durable.remove(path)
                     removed_stale += 1
             if not os.listdir(shard_dir):
                 try:
@@ -676,14 +627,14 @@ class ResultStore:
         """
         removed = 0
         for path in self._record_paths():
-            self._quarantine(path)
+            durable.remove(path)
             removed += 1
         for path in self._lease_paths():
-            self._quarantine(path)
+            durable.remove(path)
         for path in self._suffix_paths(
             lambda n: ATTEMPT_INFIX in n or n.endswith(POISON_SUFFIX)
         ):
-            self._quarantine(path)
+            durable.remove(path)
         if os.path.isdir(self.root):
             for shard in os.listdir(self.root):
                 shard_dir = os.path.join(self.root, shard)

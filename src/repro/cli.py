@@ -54,6 +54,7 @@ from repro.analysis.targets import (
 from repro.obs.maintenance import obs_clear, obs_gc, obs_stats
 from repro.obs.trace import configure_trace_root
 from repro.runtime.compiled import DEFAULT_WORKLOAD_MAX_AGE_S, CompiledGraphStore
+from repro.serve.jobs import JobValidationError, check_n_seeds, check_scale
 from repro.util.units import format_bytes
 
 #: Default artifact directory.  Deliberately NOT ``benchmarks/results`` — the
@@ -90,18 +91,30 @@ class _StrictStore(ResultStore):
 # ---------------------------------------------------------------------------------
 
 
+def _flag_type(check):
+    """An argparse ``type`` from a request-field check: a bad value is a usage error."""
+
+    def parse(text: str):
+        try:
+            return check(text)
+        except JobValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """The run/sweep/report knobs shared by every computing subcommand."""
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_flag_type(check_scale),
         default=1.0,
         help="problem scale (1.0 = the paper's Table I sizes; default 1.0)",
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     parser.add_argument(
         "--n-seeds",
-        type=int,
+        type=_flag_type(check_n_seeds),
         default=1,
         help="fault seeds averaged per simulated cell (default 1; extra seeds "
         "are derived from --seed and batched on the fast path)",

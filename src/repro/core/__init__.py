@@ -4,9 +4,8 @@ Layering (bottom to top):
 
 * :mod:`repro.core.fit` — FIT budget accounting (``current_fit``, thresholds,
   the per-decision envelope of Equation 1, audits).
-* :mod:`repro.core.estimator` — pluggable per-task failure-rate estimators
-  (argument-size based by default, as in the paper; vulnerability-weighted and
-  trace-based refinements as the orthogonality hooks of Section IV-A).
+* :mod:`repro.core.estimator` — the per-task failure-rate estimator protocol
+  and the paper's argument-size estimator.
 * :mod:`repro.core.checkpoint` / :mod:`repro.core.comparator` — the safe
   checkpoint store and the output comparators used by the replication protocol.
 * :mod:`repro.core.replication` — the task replication protocol of Figure 2
@@ -31,8 +30,6 @@ _EXPORTS = {
     "FitAudit": "repro.core.fit",
     "ArgumentSizeEstimator": "repro.core.estimator",
     "FailureRateEstimator": "repro.core.estimator",
-    "TraceBasedEstimator": "repro.core.estimator",
-    "VulnerabilityWeightedEstimator": "repro.core.estimator",
     "CheckpointStore": "repro.core.checkpoint",
     "TaskCheckpoint": "repro.core.checkpoint",
     "BitwiseComparator": "repro.core.comparator",
@@ -101,8 +98,6 @@ __all__ = [
     "TaskReplicator",
     "ToleranceComparator",
     "TopFitReplication",
-    "TraceBasedEstimator",
-    "VulnerabilityWeightedEstimator",
     "decide_for_graph",
     "majority_vote",
 ]

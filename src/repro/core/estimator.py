@@ -4,21 +4,18 @@ The paper estimates λF(T) and λSDC(T) from argument sizes and stresses that th
 framework is *orthogonal* to how the rates are obtained: vulnerability
 analyses, system logs or application-specific studies can refine them and the
 heuristic consumes the refined numbers unchanged.  This module provides the
-argument-size estimator (the paper's default) plus two refinement hooks that
-demonstrate that orthogonality and are exercised by the ablation benchmarks.
+estimator protocol and the argument-size estimator (the paper's default).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.faults.model import FailureModel, TaskFailureRates
 from repro.faults.rates import FitRateSpec
 from repro.runtime.task import TaskDescriptor
-from repro.util.validation import check_non_negative
 
 
 class FailureRateEstimator(Protocol):
@@ -68,62 +65,3 @@ class ArgumentSizeEstimator:
         bit-identical to :meth:`estimate` on the original tasks.
         """
         return self.model.fit_array_for_bytes(arg_bytes)
-
-
-class VulnerabilityWeightedEstimator:
-    """Refines a base estimator with per-task-type vulnerability weights.
-
-    A weight below 1 models task types that mask errors (e.g. tasks dominated
-    by silent stores, the paper's example); above 1 models types whose outputs
-    are unusually critical.  Unknown task types use ``default_weight``.
-    """
-
-    def __init__(
-        self,
-        base: FailureRateEstimator,
-        weights: Mapping[str, float],
-        default_weight: float = 1.0,
-    ) -> None:
-        self.base = base
-        self.weights: Dict[str, float] = {
-            k: check_non_negative(v, f"weight[{k}]") for k, v in weights.items()
-        }
-        self.default_weight = check_non_negative(default_weight, "default_weight")
-
-    def estimate(self, task: TaskDescriptor) -> TaskFailureRates:
-        """Base rates scaled by the task type's vulnerability weight."""
-        base = self.base.estimate(task)
-        w = self.weights.get(task.task_type, self.default_weight)
-        return TaskFailureRates(
-            task_id=base.task_id,
-            crash_fit=base.crash_fit * w,
-            sdc_fit=base.sdc_fit * w,
-        )
-
-
-@dataclass
-class TraceBasedEstimator:
-    """Rates measured externally (e.g. from system failure logs), per task type.
-
-    ``rates`` maps a task type to ``(crash_fit, sdc_fit)``.  Task types absent
-    from the trace fall back to ``fallback`` when provided, else zero rates
-    (the conservative choice would be a large rate; zero matches the "no
-    evidence of failures for this code" reading of a log-derived model and is
-    what the unit tests pin down).
-    """
-
-    rates: Dict[str, tuple] = field(default_factory=dict)
-    fallback: Optional[FailureRateEstimator] = None
-
-    def estimate(self, task: TaskDescriptor) -> TaskFailureRates:
-        """Look the task type up in the trace, falling back when unknown."""
-        if task.task_type in self.rates:
-            crash, sdc = self.rates[task.task_type]
-            return TaskFailureRates(
-                task_id=task.task_id,
-                crash_fit=check_non_negative(crash, "crash_fit"),
-                sdc_fit=check_non_negative(sdc, "sdc_fit"),
-            )
-        if self.fallback is not None:
-            return self.fallback.estimate(task)
-        return TaskFailureRates(task_id=task.task_id, crash_fit=0.0, sdc_fit=0.0)

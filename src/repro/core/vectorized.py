@@ -164,8 +164,7 @@ def compiled_total_fits(
 
     Requires an estimator with the ``estimate_batch_bytes`` extension (the
     argument-size estimator has one); estimators that need full descriptors
-    (type weights, traces) raise ``TypeError`` so callers fall back to the
-    object-graph path.
+    raise ``TypeError`` so callers fall back to the object-graph path.
     """
     batch_bytes = getattr(estimator, "estimate_batch_bytes", None)
     if batch_bytes is None:

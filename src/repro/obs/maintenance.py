@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.obs.metrics import METRICS_SUBDIR
 from repro.obs.trace import OBS_SUBDIR, ROTATED_TRACE_PREFIX, TRACE_LOG_NAME
+from repro.util import durable
 
 
 def obs_dir(root: str) -> str:
@@ -69,14 +70,6 @@ def _size(path: str) -> int:
         return 0
 
 
-def _remove(path: str) -> bool:
-    try:
-        os.remove(path)
-        return True
-    except OSError:
-        return False
-
-
 def obs_stats(root: str) -> Dict[str, int]:
     """Counts and byte totals of everything living under ``obs/``."""
     trace_file = os.path.join(obs_dir(root), TRACE_LOG_NAME)
@@ -104,7 +97,7 @@ def obs_gc(root: str, max_age_s: Optional[float] = None) -> Dict[str, int]:
     removed_snapshots = 0
     skipped = 0
     for path in rotated_trace_segments(root):
-        if _remove(path):
+        if durable.remove(path):
             removed_segments += 1
         else:
             skipped += 1
@@ -119,7 +112,7 @@ def obs_gc(root: str, max_age_s: Optional[float] = None) -> Dict[str, int]:
                 continue  # vanished underneath us — already gone
             if not stale:
                 continue
-            if _remove(path):
+            if durable.remove(path):
                 removed_snapshots += 1
             else:
                 skipped += 1
@@ -134,12 +127,12 @@ def obs_clear(root: str) -> Dict[str, int]:
     """Remove the live journal, all rotated segments, and all snapshots."""
     removed = {"trace": 0, "rotated_segments": 0, "metrics_snapshots": 0}
     trace_file = os.path.join(obs_dir(root), TRACE_LOG_NAME)
-    if os.path.exists(trace_file) and _remove(trace_file):
+    if os.path.exists(trace_file) and durable.remove(trace_file):
         removed["trace"] = 1
     for path in rotated_trace_segments(root):
-        if _remove(path):
+        if durable.remove(path):
             removed["rotated_segments"] += 1
     for path in metrics_snapshots(root):
-        if _remove(path):
+        if durable.remove(path):
             removed["metrics_snapshots"] += 1
     return removed

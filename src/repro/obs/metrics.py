@@ -32,6 +32,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import settings
+from repro.util import durable
 
 #: Where worker snapshots live, under the cache root.
 METRICS_SUBDIR = os.path.join("obs", "metrics")
@@ -353,19 +354,14 @@ def write_snapshot(root: str, owner: str) -> None:
     """
     if not settings.get("REPRO_METRICS"):
         return
-    path = snapshot_path(root, owner)
     doc = {
         "owner": owner,
         "pid": os.getpid(),
         "written_at": time.time(),
         "metrics": registry().snapshot(),
     }
-    tmp = path + f".tmp.{os.getpid()}"
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, path)
+        durable.publish(snapshot_path(root, owner), json.dumps(doc, sort_keys=True))
     except OSError:  # pragma: no cover - snapshots are observability only
         pass
 
@@ -383,14 +379,10 @@ def read_snapshots(root: str, skip_pid: Optional[int] = None) -> List[Dict[str, 
     except OSError:
         return snaps
     for name in names:
-        if not name.endswith(".json") or ".tmp." in name:
+        if not name.endswith(".json"):
             continue
-        try:
-            with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if skip_pid is not None and doc.get("pid") == skip_pid:
+        doc = durable.read_json(os.path.join(directory, name))
+        if doc is None or (skip_pid is not None and doc.get("pid") == skip_pid):
             continue
         metrics = doc.get("metrics")
         if isinstance(metrics, dict):

@@ -32,7 +32,6 @@ import hashlib
 import io
 import json
 import os
-import secrets
 import struct
 import time
 import zipfile
@@ -44,6 +43,7 @@ import numpy as np
 from repro import settings
 from repro.runtime.graph import TaskGraph
 from repro.runtime.task import Direction, TaskDescriptor
+from repro.util import durable
 
 #: Bump when the compiled array layout changes (hashed into every store key).
 #: Format 2 aligns every member's array data to :data:`NPZ_ALIGN` bytes.
@@ -71,16 +71,6 @@ def is_workload_benchmark_name(name: str) -> bool:
     so the store can tag entries without importing the workload subsystem.
     """
     return ":" in name
-
-
-def unique_tmp_path(path: str) -> str:
-    """A temp-file name for an atomic write of ``path``, unique per call.
-
-    The pid alone is not enough: two threads of one process writing the same
-    key would share the temp file, one truncating the other's bytes and one
-    ``os.replace`` failing.  The ``.tmp.`` infix is what ``gc`` sweeps.
-    """
-    return f"{path}.tmp.{os.getpid()}.{secrets.token_hex(4)}"
 
 
 #: The array members of a :class:`CompiledGraph`, in serialisation order.
@@ -500,9 +490,10 @@ class CompiledGraphStore:
 
     Entries live under ``<root>/compiled/<key[:2]>/`` as ``<key>.npz`` (the
     arrays) plus ``<key>.json`` (provenance: benchmark, scale, node count,
-    code version, sizes).  Writes are atomic (temp file + ``os.replace``, the
-    sidecar last), so a torn write leaves at worst an orphan the next ``gc``
-    collects, and concurrent workers compiling the same graph race benignly.
+    code version, sizes).  Both are published through :mod:`repro.util.durable`,
+    the sidecar last, so a torn write leaves at worst an orphan the next
+    ``gc`` collects, and concurrent workers compiling the same graph race
+    benignly.
     """
 
     #: Subdirectory of the cache root holding compiled graphs.
@@ -597,12 +588,8 @@ class CompiledGraphStore:
         reader never observes a sidecar without its arrays.
         """
         key = self.key(benchmark, scale, n_nodes)
-        path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = unique_tmp_path(path)
-        with open(tmp, "wb") as fh:
+        with durable.staged(self.path_for(key)) as tmp, open(tmp, "wb") as fh:
             write_npz_deterministic(fh, {f: getattr(compiled, f) for f in ARRAY_FIELDS})
-        os.replace(tmp, path)
         meta = {
             "format": COMPILED_FORMAT,
             "key": key,
@@ -617,10 +604,7 @@ class CompiledGraphStore:
             "n_edges": compiled.n_edges,
             "nbytes": compiled.nbytes,
         }
-        meta_tmp = unique_tmp_path(self.meta_path_for(key))
-        with open(meta_tmp, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh)
-        os.replace(meta_tmp, self.meta_path_for(key))
+        durable.publish(self.meta_path_for(key), json.dumps(meta))
         return key
 
     def _quarantine(self, key: str) -> int:
@@ -630,15 +614,10 @@ class CompiledGraphStore:
         file is not a failure) so callers surface the count instead of
         silently leaving the entry behind.
         """
-        failed = 0
-        for path in (self.path_for(key), self.meta_path_for(key)):
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
-            except OSError:
-                failed += 1
-        return failed
+        return sum(
+            not durable.remove(path) and os.path.lexists(path)
+            for path in (self.path_for(key), self.meta_path_for(key))
+        )
 
     # -- maintenance -----------------------------------------------------------
 
@@ -652,21 +631,16 @@ class CompiledGraphStore:
             if not os.path.isdir(shard_dir):
                 continue
             for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json") and ".tmp." not in name:
+                if name.endswith(".json"):
                     paths.append(os.path.join(shard_dir, name))
         return paths
 
     def entries(self) -> Iterator[Dict[str, Any]]:
         """Iterate the metadata of every valid entry (corrupt ones skipped)."""
         for meta_path in self._meta_paths():
-            try:
-                with open(meta_path, "r", encoding="utf-8") as fh:
-                    meta = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(meta, dict) or "key" not in meta:
-                continue
-            yield meta
+            meta = durable.read_json(meta_path)
+            if meta is not None and "key" in meta:
+                yield meta
 
     def ls(self) -> List[Dict[str, Any]]:
         """One summary dict per entry (for ``repro cache ls``)."""
@@ -703,13 +677,8 @@ class CompiledGraphStore:
         missing_arrays = 0
         versions: Dict[str, int] = {}
         for meta_path in self._meta_paths():
-            try:
-                with open(meta_path, "r", encoding="utf-8") as fh:
-                    meta = json.load(fh)
-            except (OSError, ValueError):
-                unreadable += 1
-                continue
-            if not isinstance(meta, dict) or "key" not in meta:
+            meta = durable.read_json(meta_path)
+            if meta is None or "key" not in meta:
                 unreadable += 1
                 continue
             n_entries += 1
@@ -760,35 +729,27 @@ class CompiledGraphStore:
             if not os.path.isdir(shard_dir):
                 continue
             names = sorted(os.listdir(shard_dir))
-            sidecars = {n for n in names if n.endswith(".json") and ".tmp." not in n}
+            sidecars = {n for n in names if n.endswith(".json")}
             for name in names:
                 path = os.path.join(shard_dir, name)
-                if ".tmp." in name:
-                    try:
-                        os.remove(path)
+                if durable.is_temp(name):
+                    if durable.remove(path):
                         removed_tmp += 1
-                    except OSError:
+                    else:
                         skipped += 1
                     continue
                 if name.endswith(".npz"):
                     if name[: -len(".npz")] + ".json" not in sidecars:
-                        try:
-                            os.remove(path)
+                        if durable.remove(path):
                             removed_orphan += 1
-                        except OSError:
+                        else:
                             skipped += 1
                     continue
                 if not name.endswith(".json"):
                     continue
                 key = name[: -len(".json")]
-                try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        meta = json.load(fh)
-                    version = meta.get("code_version")
-                except (OSError, ValueError, AttributeError):
-                    meta = {}
-                    version = None
-                if version != current:
+                meta = durable.read_json(path) or {}
+                if meta.get("code_version") != current:
                     failed = self._quarantine(key)
                     skipped += failed
                     if failed == 0:

@@ -17,9 +17,12 @@ Files of one job (all under ``serve/jobs/``):
 * ``<id>.events.jsonl``— append-only progress: ``plan`` events announce the
   cell grid (emitted by each drain as it learns it), ``cell`` events record
   one finished cell (computed or cache hit) with its owner.
-* ``<id>.done.json``   — completion marker, written once (``O_EXCL``) by the
-  first worker whose drain finishes; later finishers are no-ops.
+* ``<id>.done.json``   — completion marker, written once by the first worker
+  whose drain finishes; later finishers are no-ops.
 * ``<id>.failed.json`` — failure marker with the first error.
+
+Documents and markers are written through :mod:`repro.util.durable`, so a
+marker's name never exists before its whole document does.
 
 Requests never carry timestamps or ids into artifact metadata, so a job's
 artifacts are byte-identical across submissions, workers, and machines.
@@ -28,6 +31,7 @@ artifacts are byte-identical across submissions, workers, and machines.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 import time
@@ -41,6 +45,7 @@ from repro.analysis.targets import (
     render_artifact_texts,
     workload_sweep_recorded_text,
 )
+from repro.util import durable
 from repro.util.retry import RetryPolicy, retry_call
 
 #: Job files live here, under the shared cache root.
@@ -89,16 +94,28 @@ class _ComposeStore(ResultStore):
 # ---------------------------------------------------------------------------------
 
 
-def _number(doc: Dict[str, Any], name: str, default: float, minimum: float) -> float:
-    """One validated numeric request field."""
-    value = doc.get(name, default)
+def _number(value: Any, name: str, minimum: float) -> float:
+    """One validated numeric field: a finite number ``>= minimum``."""
     try:
-        value = float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise JobValidationError(f"{name} must be a number, got {value!r}")
-    if value < minimum:
-        raise JobValidationError(f"{name} must be >= {minimum}, got {value}")
-    return value
+    if not math.isfinite(number) or number < minimum:
+        raise JobValidationError(f"{name} must be a finite number >= {minimum}, got {value!r}")
+    return number
+
+
+def check_scale(value: Any) -> float:
+    """A problem scale (request field and CLI flag): a finite number >= 1e-6."""
+    return _number(value, "scale", 1e-6)
+
+
+def check_n_seeds(value: Any) -> int:
+    """A fault-seed count (request field and CLI flag): a whole number >= 1."""
+    number = _number(value, "n_seeds", 1)
+    if not number.is_integer():
+        raise JobValidationError(f"n_seeds must be a whole number, got {value!r}")
+    return int(number)
 
 
 def _float_list(doc: Dict[str, Any], name: str, default: List[float]) -> List[float]:
@@ -153,9 +170,9 @@ def normalize_request(doc: Dict[str, Any]) -> Dict[str, Any]:
             )
     request: Dict[str, Any] = {
         "type": kind,
-        "scale": _number(doc, "scale", 1.0, minimum=1e-6),
-        "seed": int(_number(doc, "seed", 0, minimum=-(2**62))),
-        "n_seeds": int(_number(doc, "n_seeds", 1, minimum=1)),
+        "scale": check_scale(doc.get("scale", 1.0)),
+        "seed": int(_number(doc.get("seed", 0), "seed", -(2**62))),
+        "n_seeds": check_n_seeds(doc.get("n_seeds", 1)),
         "fast": bool(doc.get("fast", True)),
     }
     if kind == "target":
@@ -179,7 +196,9 @@ def normalize_request(doc: Dict[str, Any]) -> Dict[str, Any]:
             )
     request["policies"] = list(policies)
     request["multipliers"] = _float_list(doc, "multipliers", [10.0, 5.0])
-    request["residual_fit_factor"] = _number(doc, "residual_fit_factor", 0.0, 0.0)
+    request["residual_fit_factor"] = _number(
+        doc.get("residual_fit_factor", 0.0), "residual_fit_factor", 0.0
+    )
 
     if kind == "workload_sweep":
         from repro.workloads.spec import parse_workload
@@ -367,21 +386,12 @@ class JobStore:
             "request": request,
             "artifact": artifact_stem(request),
         }
-        path = self.job_path(job["id"])
-        os.makedirs(self.jobs_dir, exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(job, fh, sort_keys=True)
-        os.replace(tmp, path)
+        durable.publish(self.job_path(job["id"]), json.dumps(job, sort_keys=True))
         return job
 
     def get(self, job_id: str) -> Optional[Dict[str, Any]]:
         """Load one job document, or ``None``."""
-        try:
-            with open(self.job_path(job_id), "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
+        return durable.read_json(self.job_path(job_id))
 
     def _load(self, ids: Set[str]) -> List[Dict[str, Any]]:
         """The readable job documents of ``ids``, oldest first."""
@@ -467,22 +477,10 @@ class JobStore:
 
     # -- markers ---------------------------------------------------------------
 
-    def _mark(self, path: str, doc: Dict[str, Any]) -> bool:
-        """Write a marker exactly once; ``False`` if someone else already did."""
-        os.makedirs(self.jobs_dir, exist_ok=True)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        return True
-
     def mark_done(self, job_id: str, summary: Dict[str, Any]) -> bool:
         """Record completion (first finishing worker wins; others no-op)."""
-        return self._mark(
-            self.done_path(job_id), {**summary, "finished_at": time.time()}
-        )
+        doc = {**summary, "finished_at": time.time()}
+        return durable.create_once(self.done_path(job_id), json.dumps(doc, sort_keys=True))
 
     def mark_failed(
         self,
@@ -497,15 +495,7 @@ class JobStore:
         }
         if quarantined:
             doc["quarantined"] = quarantined
-        return self._mark(self.failed_path(job_id), doc)
-
-    def _marker(self, path: str) -> Optional[Dict[str, Any]]:
-        """Load one marker document, or ``None``."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
+        return durable.create_once(self.failed_path(job_id), json.dumps(doc, sort_keys=True))
 
     # -- derived status --------------------------------------------------------
 
@@ -526,8 +516,8 @@ class JobStore:
         # cell event, so a journal read that follows the marker read holds
         # every cell of a job reported done.  Read the other way round, a
         # job finishing in between would show done with cells missing.
-        done = self._marker(self.done_path(job_id))
-        failed = self._marker(self.failed_path(job_id))
+        done = durable.read_json(self.done_path(job_id))
+        failed = durable.read_json(self.failed_path(job_id))
         events, _ = self.events(job_id)
         plan_keys: set = set()
         computed_keys: set = set()

@@ -4,11 +4,11 @@ The sweep service shards a grid across N workers — on one machine or several
 — through nothing but the shared cache root: before computing a cell, a
 worker *claims* it by creating a lease file next to the cell's (future)
 result record (:meth:`~repro.analysis.store.ResultStore.lease_path_for`).
-Lease creation is atomic (hard-link publication of a fully written document,
-``O_CREAT | O_EXCL`` fallback), so exactly one worker wins a free key; the
-winner renews a heartbeat while computing, and everyone else either waits for
-the result to appear or — once the lease's deadline passes without renewal —
-reclaims the key and retries the cell.  That is what turns a crashed worker's
+Lease creation is single-winner (:func:`repro.util.durable.create_once`), so
+exactly one worker wins a free key; the winner renews a heartbeat while
+computing, and everyone else either waits for the result to appear or — once
+the lease's deadline passes without renewal — reclaims the key and retries the
+cell.  That is what turns a crashed worker's
 cells into *retried* cells instead of lost ones.
 
 State machine of one key's lease::
@@ -52,9 +52,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set
 
 from repro import settings
-from repro.analysis.store import ResultStore, unique_tmp_path
+from repro.analysis.store import ResultStore
 from repro.obs.metrics import inc as metrics_inc
 from repro.serve.chaos import active_chaos
+from repro.util import durable
 
 #: Format tag inside lease documents (independent of the record format).
 LEASE_FORMAT: int = 1
@@ -84,10 +85,10 @@ class LeaseStore:
     """Claim, renew, release, and reclaim leases under one cache root.
 
     One instance per worker: it carries the worker's ``owner`` identity and
-    TTL.  All mutation is by whole-file replacement (write temp, publish
-    atomically), so readers never observe a torn document — and the one
-    unavoidable torn state, a temp file caught before publication, is handled
-    by the store's mtime+TTL grace rule, never by quarantine.
+    TTL.  All mutation is by whole-file publication (:mod:`repro.util.durable`),
+    so readers never observe a torn document — and the one torn state left,
+    the exclusive-create fallback caught mid-write, is handled by the mtime+TTL
+    grace rule, never by quarantine.
     """
 
     def __init__(
@@ -154,7 +155,10 @@ class LeaseStore:
         """
         path = self.lease_path(key)
         for _ in range(8):  # bounded: each loop either claims, loses, or reclaims
-            if self._try_create(path, key):
+            now = time.time()
+            blob = self._document(key, now, renewals=0, acquired_at=now)
+            if durable.create_once(path, blob):
+                self._maybe_tear(path, key, blob)
                 return True
             record = self._read(path)
             now = time.time()
@@ -176,44 +180,6 @@ class LeaseStore:
             if not self._reclaim(path):
                 return False  # another contender won the reclaim
         return False
-
-    def _try_create(self, path: str, key: str) -> bool:
-        """Atomically publish a fresh lease; ``False`` if the key is claimed.
-
-        The document is fully written to a temp file first and published with
-        ``os.link`` (atomic, fails if the target exists), so no reader ever
-        sees a partial document under the lease name.  Filesystems without
-        hard links fall back to ``O_CREAT | O_EXCL`` — still single-winner,
-        with the (tiny) torn-write window covered by the grace rule.
-        """
-        now = time.time()
-        blob = self._document(key, now, renewals=0, acquired_at=now)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = unique_tmp_path(path)
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-            try:
-                os.link(tmp, path)
-                self._maybe_tear(path, key, blob)
-                return True
-            except FileExistsError:
-                return False
-            except OSError:
-                # No hard-link support: exclusive create, then write.
-                try:
-                    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                except FileExistsError:
-                    return False
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                self._maybe_tear(path, key, blob)
-                return True
-        finally:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
 
     def _maybe_tear(self, path: str, key: str, blob: bytes) -> None:
         """Chaos hook: maybe truncate the lease document we just published.
@@ -251,10 +217,7 @@ class LeaseStore:
             return False
         self.reclaims += 1
         metrics_inc("repro_lease_reclaims_total")
-        try:
-            os.remove(tomb)
-        except OSError:
-            pass
+        durable.remove(tomb)
         return True
 
     # -- renew / release -------------------------------------------------------
@@ -275,18 +238,11 @@ class LeaseStore:
         blob = self._document(
             key, now, renewals=record.renewals + 1, acquired_at=record.acquired_at
         )
-        tmp = unique_tmp_path(path)
         try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-            return True
+            durable.publish(path, blob)
         except OSError:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
             return False
+        return True
 
     def release(self, key: str) -> bool:
         """Drop our lease on a key; ``True`` iff we held it and removed it."""
@@ -294,11 +250,7 @@ class LeaseStore:
         record = self._read(path)
         if record is None or record.owner != self.owner:
             return False
-        try:
-            os.remove(path)
-        except OSError:
-            return False
-        return True
+        return durable.remove(path)
 
 
 class LeaseHeartbeat:

@@ -34,6 +34,7 @@ from repro.obs.trace import trace_span
 from repro.serve.chaos import ChaosInjectedCellError, WorkerKilled, active_chaos
 from repro.serve.jobs import WORKERS_SUBDIR, JobStore, execute_request
 from repro.serve.leases import LeaseHeartbeat, LeaseStore, default_owner_id
+from repro.util import durable
 from repro.util.retry import RetryPolicy, retry_call
 
 #: How often a worker republishes its liveness file (seconds).
@@ -418,10 +419,7 @@ class _LivenessWriter(threading.Thread):
     def stop(self) -> None:
         """Stop the thread and remove the liveness file (clean shutdown)."""
         self.halt()
-        try:
-            os.remove(self.worker.liveness_path)
-        except OSError:
-            pass
+        durable.remove(self.worker.liveness_path)
 
     def halt(self) -> None:
         """Stop the thread but *leave* the liveness file behind.
@@ -470,8 +468,6 @@ class SweepWorker:
 
     def write_liveness(self) -> None:
         """Atomically republish the liveness document."""
-        path = self.liveness_path
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         doc = {
             "owner": self.owner,
             "pid": os.getpid(),
@@ -483,11 +479,8 @@ class SweepWorker:
             "cells_computed": self.cells_computed,
             "cells_cached": self.cells_cached,
         }
-        tmp = path + f".tmp.{os.getpid()}"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True)
-            os.replace(tmp, path)
+            durable.publish(self.liveness_path, json.dumps(doc, sort_keys=True))
         except OSError:  # pragma: no cover - liveness is best-effort
             pass
         # Piggyback the metrics snapshot on the liveness cadence so the
@@ -782,12 +775,10 @@ def list_workers(
     if not os.path.isdir(workers_dir):
         return rows
     for name in sorted(os.listdir(workers_dir)):
-        if not name.endswith(".json") or ".tmp." in name:
+        if not name.endswith(".json"):
             continue
-        try:
-            with open(os.path.join(workers_dir, name), "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
+        doc = durable.read_json(os.path.join(workers_dir, name))
+        if doc is None:
             continue
         age = now - float(doc.get("updated_at", 0.0))
         interval = float(doc.get("interval_s", LIVENESS_INTERVAL_S))

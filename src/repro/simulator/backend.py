@@ -27,12 +27,12 @@ import hashlib
 import os
 import shutil
 import subprocess
-import tempfile
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import settings
+from repro.util import durable
 
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_simkernel.c")
 
@@ -151,23 +151,14 @@ def build_kernel_lib(verbose: bool = False) -> str:
     cc = _find_cc()
     if cc is None:
         raise BackendUnavailable("no C compiler found (set REPRO_CC or install gcc/clang)")
-    os.makedirs(os.path.dirname(target), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
-    os.close(fd)
-    cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-o", tmp, _KERNEL_SOURCE]
-    try:
+    # Published atomically, so concurrent builders race benignly.
+    with durable.staged(target) as tmp:
+        cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-o", tmp, _KERNEL_SOURCE]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise BackendUnavailable(
                 f"kernel compilation failed ({' '.join(cmd)}):\n{proc.stderr.strip()}"
             )
-        os.replace(tmp, target)  # atomic: concurrent builders race benignly
-    finally:
-        if os.path.exists(tmp):
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
     if verbose:  # pragma: no cover - debugging aid
         print(f"built {target} with {cc}")
     return target
@@ -178,10 +169,7 @@ def _load_kernel_lib() -> ctypes.CDLL:
         return ctypes.CDLL(build_kernel_lib())
     except OSError as exc:  # corrupt cache entry: rebuild once
         path = kernel_lib_path()
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+        durable.remove(path)
         try:
             return ctypes.CDLL(build_kernel_lib())
         except OSError:

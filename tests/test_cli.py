@@ -131,6 +131,19 @@ def test_unknown_target_is_a_usage_error(dirs, capsys):
     assert "unknown target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("run", "table1"), ("sweep", "--benchmarks", "cholesky")])
+@pytest.mark.parametrize("flag", ["--scale", "--n-seeds"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_bad_scale_or_seed_count_is_a_usage_error(dirs, capsys, command, flag, value):
+    """The service's check on the same field: exit 2 naming the flag, no cell run."""
+    out, cache = dirs
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*command, flag, value, "--out", out, "--cache-dir", cache)
+    assert exited.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not os.path.exists(cache)
+
+
 # ---------------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------------

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.engine import decide_for_graph
-from repro.core.estimator import (
-    ArgumentSizeEstimator,
-    TraceBasedEstimator,
-    VulnerabilityWeightedEstimator,
-)
+from repro.core.estimator import ArgumentSizeEstimator
 from repro.core.heuristic import AppFit
 from repro.core.policies import (
     CompleteReplication,
@@ -31,37 +27,6 @@ class TestEstimators:
         task = make_task(0, size_bytes=32e6)
         rates = est.estimate(task)
         assert rates.crash_fit == pytest.approx(2.22, rel=1e-6)
-
-    def test_vulnerability_weights_scale_known_types(self):
-        base = ArgumentSizeEstimator()
-        est = VulnerabilityWeightedEstimator(base, weights={"masked": 0.5}, default_weight=1.0)
-        t_masked = make_task(0, size_bytes=MIB, task_type="masked")
-        t_other = make_task(1, size_bytes=MIB, task_type="other")
-        assert est.estimate(t_masked).total_fit == pytest.approx(
-            0.5 * base.estimate(t_masked).total_fit
-        )
-        assert est.estimate(t_other).total_fit == pytest.approx(
-            base.estimate(t_other).total_fit
-        )
-
-    def test_vulnerability_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
-            VulnerabilityWeightedEstimator(ArgumentSizeEstimator(), weights={"x": -1.0})
-
-    def test_trace_based_estimator_uses_trace(self):
-        est = TraceBasedEstimator(rates={"gemm": (3.0, 1.0)})
-        rates = est.estimate(make_task(0, task_type="gemm"))
-        assert rates.crash_fit == 3.0 and rates.sdc_fit == 1.0
-
-    def test_trace_based_estimator_fallback(self):
-        fallback = ArgumentSizeEstimator()
-        est = TraceBasedEstimator(rates={}, fallback=fallback)
-        task = make_task(0, size_bytes=MIB)
-        assert est.estimate(task).total_fit == pytest.approx(fallback.estimate(task).total_fit)
-
-    def test_trace_based_estimator_zero_without_fallback(self):
-        est = TraceBasedEstimator(rates={})
-        assert est.estimate(make_task(0)).total_fit == 0.0
 
 
 class TestAppFit:

@@ -257,6 +257,16 @@ def test_submit_rejects_malformed_bodies(server):
     assert code == 400
 
 
+@pytest.mark.parametrize("field", ["scale", "n_seeds"])
+def test_submit_rejects_non_finite_numbers(frontend, field):
+    """A NaN is a 400 naming its field, and no job is enqueued."""
+    code, body = _post(f"{frontend.url}/api/v1/jobs", {"target": "table1", field: float("nan")})
+    assert code == 400
+    assert field in body["error"]
+    code, listing = _get(f"{frontend.url}/api/v1/jobs")
+    assert code == 200 and listing["jobs"] == []
+
+
 def test_unknown_job_and_route_are_404(server):
     """Unknown ids, formats, and routes all 404 with JSON errors."""
     code, body = _get(f"{server.url}/api/v1/jobs/jdoesnotexist")

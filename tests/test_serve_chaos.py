@@ -12,6 +12,8 @@ built to absorb its faults:
   terminal ``failed`` state within bounded time — visible via HTTP status,
   the write-once failed marker, a 409 artifact contract, and ``repro
   status``;
+* an I/O error on an attempt claim fails the job with that error and
+  poisons nothing: only a spent budget quarantines a cell;
 * chaos worker kills are restarted by the supervisor and the drain still
   completes; a crash-looping slot is abandoned at its cap, not respawned
   forever;
@@ -23,6 +25,8 @@ built to absorb its faults:
 
 from __future__ import annotations
 
+import builtins
+import errno
 import json
 import os
 import threading
@@ -330,6 +334,36 @@ def test_transient_cell_failures_are_retried_to_success(tmp_path, monkeypatch):
     assert status["cells"]["done"] == 2
     assert status["cells"]["retries"] == len(failed_attempts)
     assert status["quarantined"] == []
+
+
+def test_an_io_error_on_an_attempt_claim_poisons_nothing(tmp_path, monkeypatch):
+    """One EMFILE from the first attempt-marker file fails the job with that
+    error; no tombstone is written, so a resubmission computes the grid."""
+    fired = []
+
+    def emfile_once(opener):
+        def wrapped(path, *args, **kwargs):
+            if not fired and isinstance(path, str) and ".attempt." in path:
+                fired.append(path)
+                raise OSError(errno.EMFILE, "Too many open files", path)
+            return opener(path, *args, **kwargs)
+
+        return wrapped
+
+    # Both the file a claim writes and an exclusive create of the marker.
+    monkeypatch.setattr(builtins, "open", emfile_once(builtins.open))
+    monkeypatch.setattr(os, "open", emfile_once(os.open))
+    root = str(tmp_path)
+    jobs = JobStore(root)
+    status = jobs.status(_drain_once(root, GRID2))
+    assert fired
+    assert status["state"] == "failed"
+    assert "Too many open files" in status["error"]
+    assert status["quarantined"] == []
+    assert ResultStore(root).stats()["poisoned"] == 0
+    again = jobs.status(_drain_once(root, GRID2))
+    assert again["state"] == "done"
+    assert again["cells"]["computed"] == 2
 
 
 # ---------------------------------------------------------------------------------

@@ -14,8 +14,9 @@ Pins the sweep service's coordination invariants:
   worker recomputes the cell bit-identically;
 * dispatch: a wake that lands mid-scan is kept (also under thread churn), a
   worker with no wake signal still finds jobs by polling, a queue scan opens
-  only pending job documents, and a job reported ``done`` has every cell in
-  its status.
+  only pending job documents, a job reported ``done`` has every cell in
+  its status, and ``status`` and ``pending_jobs`` agree while a marker is
+  being written.
 """
 
 from __future__ import annotations
@@ -496,3 +497,27 @@ def test_status_reads_markers_before_the_journal(tmp_path, monkeypatch):
     final = jobs.status(job_id)
     assert final["state"] == "done"
     assert final["cells"]["done"] == final["cells"]["total"] == 2
+
+
+def test_status_and_pending_jobs_agree_while_a_marker_is_written(tmp_path):
+    """Mid-``mark_done``, a job is either finished in both views or in neither.
+
+    The probe runs while the marker document is being serialized, which is
+    after the marker's name exists if the name is created before its content.
+    """
+    jobs = JobStore(str(tmp_path))
+    job_id = jobs.submit({"target": "table1"})["id"]
+    views = []
+
+    class Probe(dict):
+        def items(self):
+            finished = jobs.status(job_id)["state"] == "done"
+            pending = [job["id"] for job in jobs.pending_jobs()]
+            views.append((finished, job_id in pending))
+            return super().items()
+
+    assert jobs.mark_done(job_id, {"owner": "w0", "probe": Probe(n=1)})
+    assert views, "the probe never ran"
+    assert all(finished != pending for finished, pending in views)
+    assert jobs.status(job_id)["state"] == "done"
+    assert jobs.pending_jobs() == []

@@ -171,11 +171,15 @@ class TestCompiledEquivalence:
             assert fast.audit.threshold_respected == ref_audit.threshold_respected, name
 
     def test_compiled_rejects_descriptor_needing_estimators(self, graphs):
-        from repro.core.estimator import TraceBasedEstimator
+        class PerTaskEstimator:
+            """Estimates from descriptors only (no ``estimate_batch_bytes``)."""
+
+            def estimate(self, task):
+                raise AssertionError("a compiled graph has no descriptors")
 
         compiled = compile_graph(graphs["cholesky"])
         with pytest.raises(TypeError):
-            compiled_total_fits(TraceBasedEstimator(), compiled)
+            compiled_total_fits(PerTaskEstimator(), compiled)
 
 
 class TestArrayBaselines:
